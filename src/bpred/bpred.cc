@@ -58,6 +58,14 @@ TwoBitPredictor::clone() const
     return std::make_unique<TwoBitPredictor>(numStatic_);
 }
 
+void
+TwoBitPredictor::setCounters(const std::vector<std::uint8_t> &counters)
+{
+    dee_assert(counters.size() == counters_.size(),
+               "2-bit counter table size mismatch");
+    counters_ = counters;
+}
+
 // --- OneBitPredictor -----------------------------------------------------
 
 OneBitPredictor::OneBitPredictor(std::uint32_t num_static)
@@ -337,14 +345,21 @@ measureAccuracy(const Trace &trace, BranchPredictor &pred,
                           static_cast<double>(report.branches);
     }
 
+    publishAccuracy(pred.name(), report);
+    return report;
+}
+
+void
+publishAccuracy(const std::string &predictor_name,
+                const AccuracyReport &report)
+{
     // Per-predictor accuracy bookkeeping, e.g. bpred.2bit.mispredicts.
-    const std::string prefix = "bpred." + pred.name();
+    const std::string prefix = "bpred." + predictor_name;
     obs::Registry &reg = obs::Registry::global();
     reg.counter(prefix + ".branches") += report.branches;
     reg.counter(prefix + ".mispredicts") +=
         report.branches - report.correct;
     reg.stat(prefix + ".accuracy").add(report.accuracy);
-    return report;
 }
 
 ConfidenceEstimator::ConfidenceEstimator(std::uint32_t num_static)

@@ -94,6 +94,17 @@ class TwoBitPredictor : public BranchPredictor
         return predicted;
     }
 
+    /** Table size: the geometry that, with the power-on state, fixes
+     *  every prediction over a given trace. */
+    std::uint32_t numStatic() const { return numStatic_; }
+
+    /** Counter states, indexed by static id. */
+    const std::vector<std::uint8_t> &counters() const { return counters_; }
+
+    /** Restores counter states saved with counters() from a predictor
+     *  of the same geometry. */
+    void setCounters(const std::vector<std::uint8_t> &counters);
+
   private:
     std::uint32_t numStatic_;
     std::vector<std::uint8_t> counters_;
@@ -288,6 +299,12 @@ struct AccuracyReport
  */
 AccuracyReport measureAccuracy(const Trace &trace, BranchPredictor &pred,
                                const std::vector<bool> &backward = {});
+
+/** The registry bookkeeping measureAccuracy() does for one report:
+ *  bpred.<name>.{branches,mispredicts} counters and the .accuracy
+ *  stat. For callers that reuse an earlier measurement. */
+void publishAccuracy(const std::string &predictor_name,
+                     const AccuracyReport &report);
 
 /** Computes the per-sid "branch is backward" table from a program. */
 std::vector<bool> backwardTable(const Program &program);

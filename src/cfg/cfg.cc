@@ -1,13 +1,23 @@
 #include "cfg/cfg.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.hh"
 
 namespace dee
 {
 
-Cfg::Cfg(const Program &program) : numBlocks_(program.numBlocks())
+namespace
+{
+
+std::atomic<std::uint64_t> g_next_serial{1};
+
+} // namespace
+
+Cfg::Cfg(const Program &program)
+    : numBlocks_(program.numBlocks()),
+      serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed))
 {
     dee_assert(numBlocks_ > 0, "Cfg over empty program");
     buildEdges(program);

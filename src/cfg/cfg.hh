@@ -75,6 +75,14 @@ class Cfg
     /** True if block x is transitively control dependent on block a. */
     bool isTotalControlDependent(BlockId x, BlockId a) const;
 
+    /**
+     * Process-unique id of the construction this graph came from; a
+     * copy carries it along with the (identical) graph. Caches keyed
+     * by graph use it instead of an address, which a later Cfg may
+     * reuse.
+     */
+    std::uint64_t serial() const { return serial_; }
+
   private:
     void buildEdges(const Program &program);
     void computePostdominators();
@@ -82,6 +90,7 @@ class Cfg
     void computeTotalControlDependence(const Program &program);
 
     std::size_t numBlocks_;
+    std::uint64_t serial_;
     // Indexed by node id, including the exit node at numBlocks_.
     std::vector<std::vector<BlockId>> succs_;
     std::vector<std::vector<BlockId>> preds_;

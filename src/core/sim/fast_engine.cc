@@ -16,48 +16,6 @@ namespace dee::sim_detail
 namespace
 {
 
-/**
- * Register-availability slots: architectural registers 1..31 map to
- * themselves; a missing source reads the always-zero slot (the max
- * identity, exactly the reference's "no dependence contributes 0");
- * a missing destination writes a sink slot nobody reads.
- */
-constexpr std::size_t kZeroSlot = kNumRegs;
-constexpr std::size_t kSinkSlot = kNumRegs + 1;
-constexpr std::size_t kNumSlots = kNumRegs + 2;
-
-inline std::uint8_t
-srcSlot(RegId r)
-{
-    return (r == kNoReg || r == kZeroReg)
-               ? static_cast<std::uint8_t>(kZeroSlot)
-               : r;
-}
-
-inline std::uint8_t
-dstSlot(RegId r)
-{
-    return (r == kNoReg || r == kZeroReg)
-               ? static_cast<std::uint8_t>(kSinkSlot)
-               : r;
-}
-
-/**
- * Packed decoded instruction: the issue loop's entire working set per
- * instruction (plus the address array for memory ops). The single
- * decode-time op-class switch replaces the three opClass()/of() calls
- * the seed engine made per dynamic instruction.
- */
-struct DecodedInstr
-{
-    std::int32_t lat;  ///< effective completion latency
-    std::uint8_t src1; ///< availability slot of rs1
-    std::uint8_t src2; ///< availability slot of rs2
-    std::uint8_t dst;  ///< kSinkSlot when the result is untracked
-    std::uint8_t mem;  ///< 0 none, 1 load, 2 store
-};
-static_assert(sizeof(DecodedInstr) == 8, "issue loop wants 8B entries");
-
 /** splitmix64 finalizer — full-avalanche address hashing. */
 inline std::uint64_t
 mixAddr(std::uint64_t x)
@@ -147,91 +105,6 @@ class MemAvail
     std::uint64_t mask_ = 0;
 };
 
-/** Decode output: the SoA stream plus what MemAvail sizing needs. */
-struct DecodeInfo
-{
-    std::uint64_t memOps = 0;
-    std::uint64_t maxAddr = 0;
-};
-
-/**
- * Per-opcode decode tables: latency and memory class resolved by two
- * array loads instead of a per-record class switch. Values follow
- * LatencyModel::of() exactly (loads may be overridden per record by
- * config.loadLatencies in the decode loop).
- */
-struct DecodeTables
-{
-    std::array<std::int32_t, 256> lat;
-    std::array<std::uint8_t, 256> mem; ///< 0 none, 1 load, 2 store
-
-    explicit DecodeTables(const LatencyModel &lm)
-    {
-        for (std::size_t k = 0; k < 256; ++k) {
-            std::int32_t l;
-            std::uint8_t m = 0;
-            switch (opClass(static_cast<Opcode>(k))) {
-              case OpClass::IntAlu:
-                l = lm.intAlu;
-                break;
-              case OpClass::Load:
-                l = lm.load;
-                m = 1;
-                break;
-              case OpClass::Store:
-                l = lm.store;
-                m = 2;
-                break;
-              case OpClass::CondBranch:
-              case OpClass::Jump:
-                l = lm.branch;
-                break;
-              default:
-                l = lm.other;
-                break;
-            }
-            lat[k] = l;
-            mem[k] = m;
-        }
-    }
-};
-
-DecodeInfo
-decodeTrace(const Trace &trace, const SimConfig &config,
-            std::vector<DecodedInstr> &dec,
-            std::vector<std::uint64_t> &addrs,
-            std::vector<std::int32_t> &lat_out)
-{
-    const auto &records = trace.records;
-    const std::uint64_t n = records.size();
-    dec.resize(n);
-    addrs.assign(n, 0);
-    lat_out.resize(n);
-    DecodeInfo info;
-    const std::vector<int> *load_lat = config.loadLatencies;
-    const DecodeTables tabs(config.latency);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = records[i];
-        const auto op = static_cast<std::uint8_t>(rec.op);
-        DecodedInstr d;
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.mem = tabs.mem[op];
-        d.lat = tabs.lat[op];
-        if (d.mem == 1 && load_lat != nullptr)
-            d.lat = (*load_lat)[i];
-        dec[i] = d;
-        lat_out[i] = d.lat;
-        if (d.mem != 0) {
-            addrs[i] = rec.memAddr;
-            ++info.memOps;
-            info.maxAddr = std::max(info.maxAddr, rec.memAddr);
-        }
-    }
-    return info;
-}
-
 /**
  * Closed-form coverage-walk plan. Chain-shaped trees (SP) and
  * DEE-static-shaped trees (an ML chain with one not-predicted side
@@ -301,8 +174,6 @@ buildWalkPlan(const FlatSpecTree &flat, WalkPlan &plan)
  */
 struct FastScratch
 {
-    std::vector<DecodedInstr> dec;
-    std::vector<std::uint64_t> addrs;
     std::vector<std::uint64_t> bypassPool;
     std::vector<std::uint32_t> bypBegin;
     std::vector<std::uint32_t> bypEnd;
@@ -342,17 +213,13 @@ fastForward(ForwardCtx &ctx)
     obs::SlotLedger *const ledger = ctx.ledger;
     const int branch_lat = config.latency.of(OpClass::CondBranch);
 
-    // --- Decode into the SoA stream (exported to the epilogue) ----------
-    std::vector<DecodedInstr> &dec = scratch.dec;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
-    DecodeInfo mem_info;
-    {
-        // Decode steers what enters the window, so it samples as fetch.
-        const obs::hotspot::HotspotPhase hot_decode(
-            hot, "window", obs::hotspot::Phase::Fetch);
-        mem_info = decodeTrace(ctx.trace, config, dec, addrs,
-                               ctx.decodedLat);
-    }
+    // --- The prepared SoA stream; loads may take per-run latencies ------
+    const std::vector<DecodedInstr> &dec = ctx.decoded.instrs;
+    const std::vector<std::uint64_t> &addrs = ctx.decoded.addrs;
+    const int *const load_lat = config.loadLatencies != nullptr
+                                    ? config.loadLatencies->data()
+                                    : nullptr;
+    std::size_t mem_cursor = 0; ///< next entry of addrs
 
     // --- Per-run state (SoA) --------------------------------------------
     std::vector<std::int64_t> &exec = ctx.exec;
@@ -382,7 +249,7 @@ fastForward(ForwardCtx &ctx)
 
     std::array<std::int64_t, kNumSlots> reg_avail{};
     MemAvail &mem = scratch.mem;
-    mem.init(mem_info.memOps, mem_info.maxAddr);
+    mem.init(addrs.size(), ctx.decoded.maxAddr);
 
     // Pending mispredicts as a vector + head cursor (front-retirement
     // only, preserving the reference's blocked-front semantics).
@@ -693,10 +560,15 @@ fastForward(ForwardCtx &ctx)
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
+                    std::int32_t lat = d.lat;
+                    std::uint64_t addr = 0;
                     if (d.mem != 0) {
-                        const std::int64_t am = mem.get(addrs[i]);
+                        addr = addrs[mem_cursor++];
+                        const std::int64_t am = mem.get(addr);
                         if (am > data_ready)
                             data_ready = am;
+                        if (d.mem == 1 && load_lat != nullptr)
+                            lat = load_lat[i];
                     }
 
                     // Route A: speculation-tree coverage.
@@ -722,7 +594,7 @@ fastForward(ForwardCtx &ctx)
                     exec[i] = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
-                    const std::int64_t fin = t + d.lat;
+                    const std::int64_t fin = t + lat;
                     if (fin > done)
                         done = fin;
 
@@ -730,7 +602,7 @@ fastForward(ForwardCtx &ctx)
                     // publish the last-store completion per address).
                     reg_avail[d.dst] = fin;
                     if (d.mem == 2)
-                        mem.put(addrs[i], fin);
+                        mem.put(addr, fin);
                 }
             } else {
                 for (DynIndex i = paths[r].begin; i < pend_i; ++i) {
@@ -740,10 +612,15 @@ fastForward(ForwardCtx &ctx)
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
+                    std::int32_t lat = d.lat;
+                    std::uint64_t addr = 0;
                     if (d.mem != 0) {
-                        const std::int64_t am = mem.get(addrs[i]);
+                        addr = addrs[mem_cursor++];
+                        const std::int64_t am = mem.get(addr);
                         if (am > data_ready)
                             data_ready = am;
+                        if (d.mem == 1 && load_lat != nullptr)
+                            lat = load_lat[i];
                     }
 
                     std::int64_t t =
@@ -753,13 +630,13 @@ fastForward(ForwardCtx &ctx)
                     exec[i] = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
-                    const std::int64_t fin = t + d.lat;
+                    const std::int64_t fin = t + lat;
                     if (fin > done)
                         done = fin;
 
                     reg_avail[d.dst] = fin;
                     if (d.mem == 2)
-                        mem.put(addrs[i], fin);
+                        mem.put(addr, fin);
                 }
             }
         }
@@ -808,79 +685,45 @@ fastForward(ForwardCtx &ctx)
     }
 }
 
-OracleSummary
-fastOracle(const Trace &trace, const LatencyModel &latency,
-           const std::vector<int> *load_latencies,
-           obs::SlotLedger *ledger)
+std::int64_t
+fastOracle(const DecodedTrace &decoded,
+           const std::vector<int> *load_latencies, obs::SlotLedger *ledger)
 {
-    // Thread-local decode scratch, independent of the kernel's.
-    static thread_local FastScratch scratch;
-    const auto &records = trace.records;
-    const std::uint64_t n = records.size();
-    OracleSummary summary;
-
-    // Decode pass: one sweep over the 40-byte records packs the
-    // dataflow working set into 8-byte entries, sizes the memory
-    // table and counts branches.
-    std::vector<DecodedInstr> &dec = scratch.dec;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
-    dec.resize(n);
-    addrs.assign(n, 0);
-    std::uint64_t mem_ops = 0;
-    std::uint64_t max_addr = 0;
-    const DecodeTables tabs(latency);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = records[i];
-        const auto op = static_cast<std::uint8_t>(rec.op);
-        DecodedInstr d;
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.mem = tabs.mem[op];
-        d.lat = tabs.lat[op];
-        if (d.mem == 1 && load_latencies != nullptr)
-            d.lat = (*load_latencies)[i];
-        dec[i] = d;
-        if (d.mem != 0) {
-            addrs[i] = rec.memAddr;
-            ++mem_ops;
-            max_addr = std::max(max_addr, rec.memAddr);
-        }
-        if (rec.isBranch)
-            ++summary.branches;
-    }
-
+    static thread_local MemAvail mem;
+    const std::vector<DecodedInstr> &dec = decoded.instrs;
+    const std::vector<std::uint64_t> &addrs = decoded.addrs;
     std::array<std::int64_t, kNumSlots> reg_avail{};
-    MemAvail &mem = scratch.mem;
-    mem.init(mem_ops, max_addr);
+    mem.init(addrs.size(), decoded.maxAddr);
+    std::size_t mem_cursor = 0;
 
     std::int64_t last = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < dec.size(); ++i) {
         const DecodedInstr d = dec[i];
 
         std::int64_t ready = reg_avail[d.src1];
         const std::int64_t a2 = reg_avail[d.src2];
         if (a2 > ready)
             ready = a2;
+        std::uint64_t addr = 0;
         if (d.mem != 0) {
-            const std::int64_t am = mem.get(addrs[i]);
+            addr = addrs[mem_cursor++];
+            const std::int64_t am = mem.get(addr);
             if (am > ready)
                 ready = am;
         }
 
-        const std::int64_t fin = ready + d.lat;
+        const std::int64_t fin = ready + decoded.latency(i, load_latencies);
         if (fin > last)
             last = fin;
 
         reg_avail[d.dst] = fin;
         if (d.mem == 2)
-            mem.put(addrs[i], fin);
+            mem.put(addr, fin);
 
         if (ledger != nullptr)
             ledger->issue(ready);
     }
-    summary.lastDone = last;
-    return summary;
+    return last;
 }
 
 } // namespace dee::sim_detail

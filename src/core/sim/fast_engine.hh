@@ -4,10 +4,10 @@
  *
  * Same semantics as the seed engine, restructured for the host machine:
  *
- *  - Decode once into a packed structure-of-arrays instruction stream
- *    (one flat op-class switch per record), so the issue loop touches
- *    8-byte decoded entries instead of 40-byte trace records and never
- *    calls opClass()/LatencyModel::of() again.
+ *  - Read the trace's prepared packed instruction stream
+ *    (core/sim/prepared_trace.hh), so the issue loop touches 8-byte
+ *    decoded entries instead of 40-byte trace records and never calls
+ *    opClass()/LatencyModel::of().
  *  - Register dataflow through a flat availability table (completion
  *    time of the last writer per architectural register, with an
  *    always-zero slot standing in for "no dependence" so the inner
@@ -34,28 +34,22 @@
 #include <cstdint>
 
 #include "core/sim/forward_pass.hh"
+#include "core/sim/prepared_trace.hh"
 #include "obs/accounting.hh"
 
 namespace dee::sim_detail
 {
 
-/** What the fused oracle pass hands back to oracleSim(). */
-struct OracleSummary
-{
-    std::int64_t lastDone = 0;   ///< latest completion time
-    std::uint64_t branches = 0;  ///< conditional-branch records
-};
-
 /**
- * Fused decode + dataflow + accounting sweep for oracleSim()'s fast
- * engine: one pass computes the dataflow-limit completion horizon and,
- * when @p ledger is non-null, issues each instruction's ready cycle
- * into it in trace order — the same evidence the reference engine's
- * separate second pass produces.
+ * Dataflow sweep for oracleSim()'s fast engine over the prepared
+ * decode: returns the dataflow-limit completion horizon and, when
+ * @p ledger is non-null, issues each instruction's ready cycle into it
+ * in trace order — the same evidence the reference engine's separate
+ * second pass produces.
  */
-OracleSummary fastOracle(const Trace &trace, const LatencyModel &latency,
-                         const std::vector<int> *load_latencies,
-                         obs::SlotLedger *ledger);
+std::int64_t fastOracle(const DecodedTrace &decoded,
+                        const std::vector<int> *load_latencies,
+                        obs::SlotLedger *ledger);
 
 } // namespace dee::sim_detail
 

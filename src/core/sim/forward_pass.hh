@@ -4,8 +4,9 @@
  * kernels (the reference engine in window_sim.cc and the data-oriented
  * fast engine in fast_engine.cc).
  *
- * run() owns the shared prologue (predictor pass, control-dependence
- * join points) and epilogue (totals, resolve histogram, cycle
+ * run() owns the shared prologue (reading the trace's PreparedTrace:
+ * paths, predictor outcomes, control-dependence join points, decode)
+ * and epilogue (totals, resolve histogram, cycle
  * accounting, speculation profile, registry publishing). The kernels
  * own only the per-path forward loop: coverage walks, instruction
  * issue, branch resolution and tree movement. Both fill the same
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/bit_matrix.hh"
+#include "core/sim/prepared_trace.hh"
 #include "core/sim/window_sim.hh"
 #include "obs/accounting.hh"
 #include "obs/profile/profile.hh"
@@ -110,11 +112,6 @@ struct RunArena
     std::vector<std::int64_t> resolve;
     std::vector<std::uint8_t> fetchSide;
     std::vector<std::int64_t> starvedCycles;
-    std::vector<std::int32_t> decodedLat;
-    std::vector<BranchPath> paths;
-    std::vector<std::uint8_t> correct;
-    std::vector<DynIndex> joinIdx;
-    std::vector<DynIndex> nextOcc; ///< join-sweep scratch
 };
 
 /** Everything a forward-pass kernel reads and everything it must fill. */
@@ -122,6 +119,8 @@ struct ForwardCtx
 {
     // --- Inputs (borrowed from WindowSim::run) ---------------------------
     const Trace &trace;
+    /** The trace's decode under config.latency (fast engine only). */
+    const DecodedTrace &decoded;
     const std::vector<BranchPath> &paths;
     const SpecTree &tree;
     const SimConfig &config;
@@ -149,10 +148,6 @@ struct ForwardCtx
     std::vector<std::int64_t> &resolve;   ///< per path
     std::vector<std::uint8_t> &fetchSide; ///< per path iff profiling
     std::vector<std::int64_t> &starvedCycles;
-    /** Effective completion latency per instruction; the fast engine
-     *  exports its decode so the epilogue skips re-deriving op
-     *  classes. Empty from the reference engine. */
-    std::vector<std::int32_t> &decodedLat;
     std::uint64_t sidePathFetches = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/sim/prepared_trace.hh"
 #include "obs/perf/perf.hh"
 
 namespace dee
@@ -77,8 +78,19 @@ double
 characteristicAccuracy(const Trace &trace,
                        const BranchPredictor &predictor)
 {
-    auto probe = predictor.clone();
-    const AccuracyReport report = measureAccuracy(trace, *probe);
+    AccuracyReport report;
+    if (const auto *twobit =
+            dynamic_cast<const TwoBitPredictor *>(&predictor)) {
+        // A clone is a power-on 2-bit table: its pass is the trace's
+        // prepared one, so only the bookkeeping is redone.
+        report = PreparedTrace::of(trace)
+                     .twoBitOutcomes(twobit->numStatic())
+                     .accuracy;
+        publishAccuracy(twobit->name(), report);
+    } else {
+        auto probe = predictor.clone();
+        report = measureAccuracy(trace, *probe);
+    }
     return std::clamp(report.accuracy, 0.5, 0.995);
 }
 

@@ -6,7 +6,10 @@
  * pair fed to WindowSim; Oracle is the unconstrained dataflow limit.
  * runModel() also performs steps 1-3 of the static tree heuristic when
  * asked: measure the predictor's characteristic accuracy p on the trace,
- * then size the tree from (p, E_T).
+ * then size the tree from (p, E_T). Like the paper's once-per-benchmark
+ * step 1, the measurement and every other trace-only input is prepared
+ * once per Trace object (core/sim/prepared_trace.hh) and shared by all
+ * later cells over it.
  */
 
 #ifndef DEE_CORE_SIM_MODELS_HH
@@ -91,15 +94,24 @@ struct ModelRunOptions
 /**
  * Measures the predictor's accuracy on the trace using a fresh clone
  * (heuristic step 1). Clamped into [0.5, 0.995] so tree geometry stays
- * well-defined even on degenerate traces.
+ * well-defined even on degenerate traces. For a TwoBitPredictor the
+ * pass is the trace's prepared one (run on first use, then reused);
+ * the bpred.2bit.* registry bookkeeping is published on every call
+ * either way. Other predictors run measureAccuracy() on a clone.
  */
 double characteristicAccuracy(const Trace &trace,
                               const BranchPredictor &predictor);
 
 /**
- * Runs one model at one resource level.
+ * Runs one model at one resource level. The first run over a Trace
+ * object prepares it (paths, decode, join index, 2-bit predictor
+ * outcomes; see core/sim/prepared_trace.hh); later runs, on any
+ * thread, reuse that preparation. Edit a trace only through a fresh
+ * copy once it has been simulated.
  *
  * @param cfg required for the CD / CD-MF models; may be null otherwise.
+ * @param predictor reset and trained by the run; its end state is the
+ *        same whether or not the trace was prepared before.
  * @param e_t branch-path resource budget (ignored by Oracle).
  */
 SimResult runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,

@@ -14,6 +14,7 @@
 #include "common/table.hh"
 #include "core/sim/fast_engine.hh"
 #include "core/sim/forward_pass.hh"
+#include "core/sim/prepared_trace.hh"
 #include "obs/hotspot/hotspot.hh"
 #include "obs/registry.hh"
 #include "obs/timer.hh"
@@ -452,8 +453,10 @@ WindowSim::run(BranchPredictor &predictor) const
     // recycled instead of re-faulted from the allocator every run.
     static thread_local sim_detail::RunArena arena;
 
-    segmentPaths(trace_, arena.paths);
-    const std::vector<BranchPath> &paths = arena.paths;
+    // Trace-only inputs, built by the first run over this trace.
+    const PreparedTrace &prep = PreparedTrace::of(trace_);
+    const std::vector<BranchPath> &paths = prep.paths();
+    const BitVec64 &ends = prep.ends();
     const std::uint64_t num_paths = paths.size();
     // Static-window reach for route B: the machine holds E_T branch
     // paths of static code regardless of how the tree allocates them
@@ -467,74 +470,51 @@ WindowSim::run(BranchPredictor &predictor) const
     const int penalty = config_.mispredictPenalty;
     const bool use_cd = config_.cd != CdModel::Restrictive;
 
-    // --- Prediction correctness per branch path (functional update) ----
-    // The same pass feeds the per-branch confidence estimator used to
-    // attribute squashed speculative work to accuracy buckets, and the
-    // speculation profiler's per-site execution counts (profiling
-    // rides the accounting ledger, so it forces accounting on).
+    // --- Prediction correctness per branch path --------------------------
+    // A reset 2-bit predictor's outcomes depend on the trace alone, so
+    // they come prepared, and its end state is restored from them; any
+    // other predictor runs its pass here. The outcomes also carry the
+    // per-branch confidence that attributes squashed speculative work
+    // to accuracy buckets. The speculation profiler's per-site counts
+    // replay the outcomes (profiling rides the accounting ledger, so
+    // it forces accounting on).
     const bool profiling =
         config_.gatherProfile || obs::profilingRequested();
     const bool accounting = config_.gatherAccounting || profiling;
     obs::SpeculationProfile profile;
-    ConfidenceEstimator confidence_meter(
-        accounting ? trace_.numStatic : 0);
-    std::vector<std::uint8_t> &correct = arena.correct;
-    correct.assign(num_paths, 1);
-    // The same correctness facts, packed: branch-ending paths and
-    // correct predictions as bit sets so the epilogue's mispredict
-    // scans run word-parallel (ends &~ correct, then a ctz walk).
-    BitVec64 ends(num_paths);
-    BitVec64 correct_bits(num_paths);
+    BranchOutcomes uncached;
+    const BranchOutcomes *outcomes = &uncached;
     {
-        // The predictor pass steers fetch, so it samples as fetch. The
-        // 2-bit predictor (every figure cell) devirtualizes into one
-        // inlined table access per branch.
+        // The predictor pass steers fetch, so it samples as fetch.
         const obs::hotspot::HotspotPhase hot_predict(
             hot, "window", obs::hotspot::Phase::Fetch);
-        TwoBitPredictor *const twobit =
-            dynamic_cast<TwoBitPredictor *>(&predictor);
-        for (std::uint64_t k = 0; k < num_paths; ++k) {
-            if (!paths[k].endsInBranch) {
-                correct_bits.set(k);
-                continue;
-            }
-            ends.set(k);
-            const TraceRecord &b = records[paths[k].branchIndex()];
-            bool predicted;
-            if (twobit != nullptr) {
-                predicted = twobit->predictThenUpdate(b.sid, b.taken);
-            } else {
-                BranchQuery q;
-                q.sid = b.sid;
-                q.actual = b.taken;
-                predicted = predictor.predict(q);
-                predictor.update(q, b.taken);
-            }
-            correct[k] = (predicted == b.taken) ? 1 : 0;
-            if (correct[k])
-                correct_bits.set(k);
-            if (profiling) {
-                // Online confidence: the bucket the site occupied
-                // when this instance resolved, before its outcome
-                // updates the meter.
+        if (auto *twobit = dynamic_cast<TwoBitPredictor *>(&predictor)) {
+            outcomes = &prep.twoBitOutcomes(twobit->numStatic());
+            twobit->setCounters(outcomes->finalCounters);
+        } else {
+            uncached = predictOutcomes(trace_, paths, predictor);
+        }
+        if (profiling) {
+            // Online confidence: the bucket the site occupied when this
+            // instance resolved, before its outcome updates the meter.
+            ConfidenceEstimator online(trace_.numStatic);
+            ends.forEachSet([&](std::size_t k) {
+                const TraceRecord &b = records[paths[k].branchIndex()];
+                const bool right = outcomes->correct[k] != 0;
                 profile.recordExecution(
-                    b.sid, static_cast<std::int64_t>(b.block),
-                    correct[k] == 0,
-                    obs::confidenceBucket(
-                        confidence_meter.estimate(b.sid)));
-            }
-            if (accounting)
-                confidence_meter.record(b.sid, correct[k] != 0);
-            ++result.branches;
-            if (!correct[k])
-                ++result.mispredicted;
+                    b.sid, static_cast<std::int64_t>(b.block), !right,
+                    obs::confidenceBucket(online.estimate(b.sid)));
+                online.record(b.sid, right);
+            });
         }
     }
-    if (result.branches > 0) {
-        result.predictionAccuracy =
-            static_cast<double>(result.branches - result.mispredicted) /
-            static_cast<double>(result.branches);
-    }
+    const std::vector<std::uint8_t> &correct = outcomes->correct;
+    const BitVec64 &correct_bits = outcomes->correctBits;
+    const ConfidenceEstimator &confidence_meter = outcomes->confidence;
+    result.branches = outcomes->accuracy.branches;
+    result.mispredicted =
+        outcomes->accuracy.branches - outcomes->accuracy.correct;
+    result.predictionAccuracy = outcomes->accuracy.accuracy;
 
     // --- Dynamic control-dependence scopes for route B -------------------
     // A branch instance controls exactly the dynamic instructions between
@@ -542,30 +522,10 @@ WindowSim::run(BranchPredictor &predictor) const
     // postdominator (the join point); from there on, execution no longer
     // depends on which way the branch went. join_idx[k] is that boundary
     // (as a dynamic instruction index) for the branch ending path k.
-    std::vector<DynIndex> &join_idx = arena.joinIdx;
-    join_idx.clear();
-    if (use_cd) {
-        join_idx.assign(num_paths, n);
-        // One backward sweep: next_occ[b] is the first dynamic index
-        // of block b strictly after the sweep cursor, so each branch
-        // reads its join point (first post-branch occurrence of its
-        // block's immediate postdominator) in O(1). Paths are pushed
-        // after their own branch is queried — a branch's block never
-        // joins at itself.
-        const std::size_t num_blocks = cfg_->numBlocks() + 1;
-        std::vector<DynIndex> &next_occ = arena.nextOcc;
-        next_occ.assign(num_blocks, n);
-        for (std::uint64_t k = num_paths; k-- > 0;) {
-            if (paths[k].endsInBranch) {
-                const DynIndex b = paths[k].branchIndex();
-                const BlockId ipdom = cfg_->ipostdom(records[b].block);
-                if (ipdom < cfg_->numBlocks())
-                    join_idx[k] = next_occ[ipdom];
-            }
-            for (DynIndex i = paths[k].end; i-- > paths[k].begin;)
-                next_occ[records[i].block] = i;
-        }
-    }
+    static const std::vector<DynIndex> kNoJoins;
+    const std::vector<DynIndex> &join_idx =
+        use_cd ? prep.joinIndex(*cfg_) : kNoJoins;
+    const DecodedTrace &decoded = prep.decode(config_.latency);
 
     // --- Forward pass over branch paths ----------------------------------
     // The accounting ledger outlives the kernel: issue cycles are
@@ -581,6 +541,7 @@ WindowSim::run(BranchPredictor &predictor) const
     }
     sim_detail::ForwardCtx ctx{
         .trace = trace_,
+        .decoded = decoded,
         .paths = paths,
         .tree = tree_,
         .config = config_,
@@ -602,13 +563,11 @@ WindowSim::run(BranchPredictor &predictor) const
         .resolve = arena.resolve,
         .fetchSide = arena.fetchSide,
         .starvedCycles = arena.starvedCycles,
-        .decodedLat = arena.decodedLat,
         .sidePathFetches = 0,
     };
-    // The kernels assign() the sized outputs; the append-only ones must
+    // The kernels assign() the sized outputs; the append-only one must
     // start empty so nothing leaks across arena reuse.
     arena.starvedCycles.clear();
-    arena.decodedLat.clear();
     if (config_.engine == Engine::Reference)
         sim_detail::referenceForward(ctx);
     else
@@ -624,22 +583,12 @@ WindowSim::run(BranchPredictor &predictor) const
     BitVec64 mispredict_paths = ends;
     mispredict_paths.andNotWith(correct_bits);
 
-    // Effective completion latency of a dynamic instruction; the fast
-    // engine exports its decode, saving the per-record class switches.
-    auto lat_of = [&](DynIndex idx) -> int {
-        if (!ctx.decodedLat.empty())
-            return ctx.decodedLat[idx];
-        const OpClass c = opClass(records[idx].op);
-        if (c == OpClass::Load && config_.loadLatencies)
-            return (*config_.loadLatencies)[idx];
-        return config_.latency.of(c);
-    };
-
     // --- Totals -----------------------------------------------------------
     std::int64_t last_cycle = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        last_cycle = std::max(
-            last_cycle, exec[i] + lat_of(i));
+        last_cycle = std::max<std::int64_t>(
+            last_cycle,
+            exec[i] + decoded.latency(i, config_.loadLatencies));
     }
     if (config_.gatherIssueStats) {
         std::unordered_map<std::int64_t, std::uint32_t> per_cycle;
@@ -855,15 +804,14 @@ oracleSim(const Trace &trace, LatencyModel latency,
 
     std::int64_t last = 0;
     if (engine == Engine::Fast) {
-        // Fused decode + dataflow + accounting in one sweep; the
-        // ledger (when accounting) sees the same issue cycles in the
+        // Dataflow + accounting in one sweep over the prepared decode;
+        // the ledger (when accounting) sees the same issue cycles in the
         // same trace order as the reference's separate second pass.
+        const PreparedTrace &prep = PreparedTrace::of(trace);
         obs::SlotLedger ledger(0, 0);
-        const sim_detail::OracleSummary summary = sim_detail::fastOracle(
-            trace, latency, load_latencies,
-            gather_accounting ? &ledger : nullptr);
-        last = summary.lastDone;
-        result.branches = summary.branches;
+        last = sim_detail::fastOracle(prep.decode(latency), load_latencies,
+                                      gather_accounting ? &ledger : nullptr);
+        result.branches = prep.ends().popcount();
         result.cycles = static_cast<std::uint64_t>(
             std::max<std::int64_t>(last, 1));
         result.speedup = static_cast<double>(records.size()) /

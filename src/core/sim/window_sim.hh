@@ -242,7 +242,8 @@ class WindowSim
     WindowSim(Trace &&, SpecTree, const SimConfig &,
               const Cfg *cfg = nullptr) = delete;
 
-    /** Runs the model; the predictor is reset() first. */
+    /** Runs the model; the predictor is reset() first. Trace-only
+     *  inputs come from the trace's PreparedTrace, built on first use. */
     SimResult run(BranchPredictor &predictor) const;
 
   private:
@@ -258,8 +259,9 @@ class WindowSim
  *  @param gather_accounting fill SimResult::account ("acct.oracle.*";
  *         the oracle never speculates, so its slots split between
  *         useful and the idle/fetch_stall residue).
- *  @param engine fast (fused single-pass kernel) or reference; both
- *         are bit-exact, defaulting to the process-wide selection. */
+ *  @param engine fast (one sweep over the trace's prepared decode) or
+ *         reference; both are bit-exact, defaulting to the process-wide
+ *         selection. */
 SimResult oracleSim(const Trace &trace,
                     LatencyModel latency = LatencyModel::unit(),
                     const std::vector<int> *load_latencies = nullptr,

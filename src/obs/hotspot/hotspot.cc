@@ -43,7 +43,7 @@ namespace
 
 const char *const kPhaseNames[kNumPhases] = {
     "fetch", "tree_move", "issue", "resolve", "copy_back", "merge",
-    "other",
+    "prepare", "other",
 };
 
 /* ---- interned scope table ---------------------------------------- */

@@ -25,8 +25,8 @@
  *
  * Because inlined hot loops defeat symbol-only attribution, the RAII
  * HotspotPhase marker annotates the simulator's phases directly:
- * fetch, tree_move, issue, resolve, copy_back, merge (+ other as the
- * explicit catch-all). The handler snapshots the marker stack, so
+ * fetch, tree_move, issue, resolve, copy_back, merge, prepare (+ other
+ * as the explicit catch-all). The handler snapshots the marker stack, so
  * phase attribution is exact regardless of what the optimizer did to
  * the symbols, and nested markers give self-vs-total semantics:
  * a sample's *self* cost lands on the innermost open phase, its
@@ -113,10 +113,11 @@ enum class Phase : std::uint8_t
     Resolve,  ///< branch resolution + squash
     CopyBack, ///< DEE copy-back of alternate state
     Merge,    ///< runner result merge into the process registry
+    Prepare,  ///< first-touch per-trace preparation (PreparedTrace)
     Other,    ///< explicit catch-all wrapper (run() glue)
 };
 
-constexpr std::size_t kNumPhases = 7;
+constexpr std::size_t kNumPhases = 8;
 
 /** Stable lower-case name ("fetch", "tree_move", ...). */
 const char *phaseName(Phase phase);

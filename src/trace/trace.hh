@@ -18,6 +18,8 @@
 #define DEE_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,12 +47,45 @@ struct TraceRecord
 /** Index of a dynamic instruction within a trace. */
 using DynIndex = std::uint64_t;
 
-/** A dynamic instruction stream plus the static-side sizes it indexes. */
+/** Defined in core/sim/prepared_trace.hh. */
+class PreparedTrace;
+
+/**
+ * Where a Trace keeps its simulation-side preparation (paths, decode,
+ * join index, predictor outcomes; see core/sim/prepared_trace.hh),
+ * built on the first simulation that touches the trace. It belongs to
+ * one Trace object: a copy or move of the trace starts unprepared, and
+ * assigning to a trace drops what it had prepared.
+ */
+class PreparedSlot
+{
+  public:
+    PreparedSlot() = default;
+    PreparedSlot(const PreparedSlot &) noexcept {}
+    PreparedSlot &
+    operator=(const PreparedSlot &)
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        prepared.reset();
+        return *this;
+    }
+
+    std::mutex mutex;
+    std::shared_ptr<const PreparedTrace> prepared; ///< guarded by mutex
+};
+
+/**
+ * A dynamic instruction stream plus the static-side sizes it indexes.
+ * Simulating a trace prepares it once; editing `records` afterwards
+ * needs a fresh Trace (a copy), never the simulated object.
+ */
 struct Trace
 {
     std::vector<TraceRecord> records;
     /** Static instruction count of the generating program. */
     std::uint32_t numStatic = 0;
+    /** Lazily prepared simulation data (never copied with the trace). */
+    mutable PreparedSlot prepared;
 
     std::size_t size() const { return records.size(); }
     bool empty() const { return records.empty(); }

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
 
@@ -132,10 +134,16 @@ TEST(TraceStats, RenderContainsKeyFields)
 class TraceIoTest : public ::testing::Test
 {
   protected:
+    // ctest runs each case as its own process, possibly in parallel:
+    // one file per (test, process) so no two cases share a path.
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "dee_trace_test.bin";
+        path_ = ::testing::TempDir() + "dee_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin";
     }
 
     void
