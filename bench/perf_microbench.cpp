@@ -65,6 +65,26 @@ BM_Interpreter(benchmark::State &state)
 }
 BENCHMARK(BM_Interpreter);
 
+/** The path every experiment takes: interpretation with trace capture
+ *  (BM_Interpreter above times the final-state-only path). */
+void
+BM_InterpreterCapture(benchmark::State &state)
+{
+    const auto &inst = compressInstance();
+    dee::Interpreter interp(inst.program);
+    dee::obs::perf::ThroughputMeter meter("microbench.interpreter_capture");
+    for (auto _ : state) {
+        const dee::obs::hotspot::HotspotPhase hot(
+            "bench", dee::obs::hotspot::Phase::Issue);
+        auto r = interp.run(10'000'000, true);
+        benchmark::DoNotOptimize(r.trace.records.data());
+        meter.addInstructions(r.steps);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(meter.instructions()));
+}
+BENCHMARK(BM_InterpreterCapture);
+
 void
 BM_OracleSim(benchmark::State &state)
 {

@@ -354,7 +354,16 @@ publishAccuracy(const std::string &predictor_name,
                 const AccuracyReport &report)
 {
     // Per-predictor accuracy bookkeeping, e.g. bpred.2bit.mispredicts.
-    const std::string prefix = "bpred." + predictor_name;
+    // The name is one path segment: characters a segment cannot hold
+    // become '_', so gshare(14,8) publishes under bpred.gshare_14_8_.
+    std::string segment = predictor_name;
+    for (char &c : segment) {
+        const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                          (c >= '0' && c <= '9') || c == '_' || c == '-';
+        if (!keep)
+            c = '_';
+    }
+    const std::string prefix = "bpred." + segment;
     obs::Registry &reg = obs::Registry::global();
     reg.counter(prefix + ".branches") += report.branches;
     reg.counter(prefix + ".mispredicts") +=

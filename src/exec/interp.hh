@@ -59,12 +59,18 @@ struct ExecResult
 class Interpreter
 {
   public:
-    /** Takes the program by value: the interpreter owns its copy, so
-     *  passing a temporary (e.g. builder.build()) is safe. */
+    /** Validates the program and flattens it into a per-static-id table
+     *  (taken by value, so passing a temporary such as builder.build()
+     *  is safe; the interpreter keeps only the table). */
     explicit Interpreter(Program program);
 
     /**
      * Runs from block 0 until Halt or max_instrs.
+     *
+     * With capture on, execution runs twice: a pass that records
+     * nothing counts the steps (execution is deterministic), then the
+     * capturing pass writes into a trace reserved to exactly that
+     * size, so the records are never copied by vector growth.
      *
      * @param max_instrs step cap (guards generator bugs / long loops)
      * @param capture_trace disable to save memory when only the final
@@ -74,7 +80,43 @@ class Interpreter
                    bool capture_trace = true) const;
 
   private:
-    Program program_;
+    /** How the run loop executes one static instruction. */
+    enum class Step : std::uint8_t
+    {
+        AluReg,  ///< rd <- rs1 op rs2
+        AluImm,  ///< rd <- rs1 op imm
+        LoadImm, ///< rd <- imm
+        Load,
+        Store,
+        Branch,
+        Jump,
+        Halt,
+        Nop,
+        FellOff, ///< one past the last instruction
+    };
+
+    /** One static instruction, flattened for the run loop. */
+    struct FlatInstr
+    {
+        /** The trace record this instruction produces, less memAddr and
+         *  taken: sid, block, op, dest(), rs1, rs2, isBranch and the
+         *  precomputed backward bit. */
+        TraceRecord rec;
+        std::int64_t imm = 0;
+        /** Branch/jump: first static id at or after the target block. */
+        StaticId target = 0;
+        RegId rd = kNoReg; ///< Destination operand as written.
+        Step step = Step::Nop;
+    };
+
+    struct Pass;
+
+    template <bool Capture>
+    Pass execute(std::uint64_t max_instrs,
+                 std::vector<TraceRecord> *records) const;
+
+    /** Indexed by static id, plus a FellOff entry after the last. */
+    std::vector<FlatInstr> code_;
 };
 
 } // namespace dee

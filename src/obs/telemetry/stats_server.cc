@@ -148,13 +148,16 @@ StatsServer::serveLoop()
         if (ready <= 0)
             continue;
 
+        // Only the clients in the polled set have revents: one accepted
+        // below joins the next round's poll.
+        const std::size_t polled = fds.size() - 1;
         if (fds[0].revents & POLLIN) {
             const int cfd = ::accept(listenFd_, nullptr, nullptr);
             if (cfd >= 0)
                 clients.push_back({cfd, {}});
         }
 
-        for (std::size_t i = 0; i < clients.size();) {
+        for (std::size_t i = 0; i < polled;) {
             const short revents = fds[i + 1].revents;
             bool drop = false;
             if (revents & (POLLERR | POLLHUP | POLLNVAL))

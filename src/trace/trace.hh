@@ -37,12 +37,16 @@ struct TraceRecord
     RegId rd = kNoReg;       ///< Destination register or kNoReg.
     RegId rs1 = kNoReg;      ///< First source or kNoReg.
     RegId rs2 = kNoReg;      ///< Second source or kNoReg.
-    std::uint64_t memAddr = 0; ///< Effective address (loads/stores).
     bool isBranch = false;   ///< Conditional branch?
     bool taken = false;      ///< Branch outcome (valid if isBranch).
     bool backward = false;   ///< Branch target is an earlier block
                              ///  (loop latch) — valid if isBranch.
+    std::uint64_t memAddr = 0; ///< Effective address (loads/stores).
 };
+
+// Traces are the largest structure in a run: the flags sit in what
+// would otherwise be padding before memAddr.
+static_assert(sizeof(TraceRecord) == 24, "TraceRecord is 24 bytes");
 
 /** Index of a dynamic instruction within a trace. */
 using DynIndex = std::uint64_t;

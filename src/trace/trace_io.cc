@@ -54,6 +54,42 @@ unpackU64(const unsigned char *p)
     return v;
 }
 
+/** Size in bytes of an open file, false if it has none (a pipe);
+ *  leaves the read position unchanged. */
+bool
+fileSize(std::FILE *f, std::uint64_t &size)
+{
+    const long pos = std::ftell(f);
+    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
+        return false;
+    const long end = std::ftell(f);
+    if (end < pos || std::fseek(f, pos, SEEK_SET) != 0)
+        return false;
+    size = static_cast<std::uint64_t>(end);
+    return true;
+}
+
+bool
+validReg(RegId r)
+{
+    return r < kNumRegs || r == kNoReg;
+}
+
+/** Fields the simulators use as indices must be in range. */
+void
+checkRecord(const TraceRecord &r, std::uint32_t num_static,
+            const std::string &path, std::uint64_t index)
+{
+    if (r.op > Opcode::Nop)
+        dee_fatal("'", path, "' record ", index, ": opcode ",
+                  int{static_cast<std::uint8_t>(r.op)}, " out of range");
+    if (!validReg(r.rd) || !validReg(r.rs1) || !validReg(r.rs2))
+        dee_fatal("'", path, "' record ", index, ": register out of range");
+    if (r.sid >= num_static)
+        dee_fatal("'", path, "' record ", index, ": static id ", r.sid,
+                  " out of range (numStatic ", num_static, ")");
+}
+
 } // namespace
 
 void
@@ -113,7 +149,16 @@ readTrace(const std::string &path)
     Trace trace;
     trace.numStatic = unpackU32(header + 8);
     const std::uint64_t count = unpackU64(header + 12);
-    trace.records.reserve(count);
+    // The header's count sizes the allocation, so it must first fit in
+    // the file: a forged count is a format error, not a huge reserve().
+    // (A stream with no size is read without the up-front reserve.)
+    std::uint64_t size = 0;
+    if (fileSize(f.get(), size)) {
+        if (count > (size - sizeof(header)) / kRecordSize)
+            dee_fatal("'", path, "' is truncated: the header claims ",
+                      count, " records");
+        trace.records.reserve(count);
+    }
 
     std::vector<unsigned char> buf(kRecordSize * 4096);
     std::uint64_t remaining = count;
@@ -135,6 +180,7 @@ readTrace(const std::string &path)
             r.taken = (rec[12] & 2) != 0;
             r.backward = (rec[12] & 4) != 0;
             r.memAddr = unpackU64(rec + 16);
+            checkRecord(r, trace.numStatic, path, count - remaining + i);
             trace.records.push_back(r);
         }
         remaining -= batch;

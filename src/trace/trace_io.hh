@@ -8,8 +8,11 @@
  *   header:  magic "DEETRAC1" (8 bytes), u32 numStatic, u64 numRecords
  *   records: packed little-endian, 24 bytes each:
  *            u32 sid, u32 block, u8 op, u8 rd, u8 rs1, u8 rs2,
- *            u8 flags (bit0 isBranch, bit1 taken), 3 pad bytes,
- *            u64 memAddr
+ *            u8 flags (bit0 isBranch, bit1 taken, bit2 backward),
+ *            3 pad bytes, u64 memAddr
+ *
+ * The reader rejects a header whose record count the file cannot hold,
+ * and records whose opcode, registers or static id are out of range.
  */
 
 #ifndef DEE_TRACE_TRACE_IO_HH

@@ -8,6 +8,7 @@
 
 #include "bpred/bpred.hh"
 #include "common/random.hh"
+#include "obs/registry.hh"
 #include "isa/builder.hh"
 
 namespace dee
@@ -275,6 +276,33 @@ TEST(MeasureAccuracy, IgnoresNonBranches)
     TwoBitPredictor p(1);
     const AccuracyReport rep = measureAccuracy(t, p);
     EXPECT_EQ(rep.branches, 10u);
+}
+
+TEST(MeasureAccuracy, PublishesUnderAValidPathSegment)
+{
+    // Names that are valid segments publish as they are; others map
+    // each character outside [A-Za-z0-9_-] to '_'.
+    obs::Registry reg;
+    obs::Registry *const prev = obs::Registry::setCurrent(&reg);
+    const Trace t = biasedTrace(0.8, 100, 4);
+    TwoBitPredictor twobit(1);
+    GsharePredictor gshare(14, 8);
+    PApPredictor pap(1, 2);
+    measureAccuracy(t, twobit);
+    measureAccuracy(t, gshare);
+    measureAccuracy(t, pap);
+    obs::Registry::setCurrent(prev);
+
+    for (const char *prefix :
+         {"bpred.2bit", "bpred.gshare_14_8_", "bpred.pap_2_"}) {
+        const std::string p = prefix;
+        const std::uint64_t *branches = reg.findCounter(p + ".branches");
+        ASSERT_NE(branches, nullptr) << p;
+        EXPECT_EQ(*branches, 100u) << p;
+        EXPECT_NE(reg.findCounter(p + ".mispredicts"), nullptr) << p;
+        EXPECT_NE(reg.findStat(p + ".accuracy"), nullptr) << p;
+    }
+    EXPECT_EQ(reg.paths().size(), 9u);
 }
 
 TEST(BackwardTable, MarksLoopBranches)

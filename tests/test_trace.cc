@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 #include <unistd.h>
@@ -239,6 +240,77 @@ TEST_F(TraceIoTest, RejectsTruncatedFile)
     ASSERT_EQ(truncate(path_.c_str(), 30), 0);
     EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
                 "truncated");
+}
+
+/** Overwrites @p bytes at @p offset of an existing file. */
+void
+patchFile(const std::string &path, long offset,
+          std::initializer_list<unsigned char> bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    for (const unsigned char b : bytes)
+        ASSERT_NE(std::fputc(b, f), EOF);
+    std::fclose(f);
+}
+
+// Header: 8 magic + u32 numStatic + u64 count; record i starts at
+// 20 + 24 i with sid at +0, op at +8 and rd/rs1/rs2 at +9..+11.
+constexpr long kCountAt = 12;
+constexpr long
+recordAt(long i)
+{
+    return 20 + 24 * i;
+}
+
+TEST_F(TraceIoTest, RejectsCountTheFileCannotHold)
+{
+    writeTrace(sampleTrace(), path_);
+    // 2^56 records: reserve() would throw length_error or bad_alloc.
+    patchFile(path_, kCountAt, {0, 0, 0, 0, 0, 0, 0, 1});
+    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                "truncated: the header claims 72057594037927936 records");
+    // One record more than the file holds.
+    patchFile(path_, kCountAt, {8, 0, 0, 0, 0, 0, 0, 0});
+    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                "truncated: the header claims 8 records");
+}
+
+TEST_F(TraceIoTest, RejectsOpcodePastNop)
+{
+    writeTrace(sampleTrace(), path_);
+    patchFile(path_, recordAt(3) + 8,
+              {static_cast<unsigned char>(
+                  static_cast<int>(Opcode::Nop) + 1)});
+    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                "record 3: opcode 27 out of range");
+}
+
+TEST_F(TraceIoTest, RejectsRegisterOutOfRange)
+{
+    // kNumRegs is the first bad id; kNoReg (0xff) is legal.
+    for (const long field : {9L, 10L, 11L}) {
+        writeTrace(sampleTrace(), path_);
+        patchFile(path_, recordAt(1) + field, {kNumRegs});
+        EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                    "record 1: register out of range");
+        patchFile(path_, recordAt(1) + field, {0xfe});
+        EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                    "record 1: register out of range");
+        patchFile(path_, recordAt(1) + field, {kNoReg});
+        EXPECT_EQ(readTrace(path_).records.size(), 7u);
+    }
+}
+
+TEST_F(TraceIoTest, RejectsStaticIdPastNumStatic)
+{
+    writeTrace(sampleTrace(), path_); // numStatic 10
+    patchFile(path_, recordAt(6), {10, 0, 0, 0});
+    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
+                "record 6: static id 10 out of range \\(numStatic 10\\)");
+    patchFile(path_, recordAt(6), {9, 0, 0, 0});
+    EXPECT_EQ(readTrace(path_).records[6].sid, 9u);
 }
 
 } // namespace
