@@ -125,8 +125,14 @@ std::atomic<std::uint64_t> g_generation{0};
 
 /** Registration / lifecycle lock — never taken by the handler. */
 std::mutex g_mutex;
-std::vector<ThreadState *> g_states;     ///< current generation
-std::vector<ThreadState *> g_free_pool;  ///< reusable registrations
+/* The two pools live in never-destroyed storage: a static vector's
+ * destructor would run before LeakSanitizer's exit-time scan, and the
+ * pooled (deliberately never freed) ThreadStates would then read as
+ * leaks. Referenced through these globals they stay reachable. */
+std::vector<ThreadState *> &g_states =
+    *new std::vector<ThreadState *>; ///< current generation
+std::vector<ThreadState *> &g_free_pool =
+    *new std::vector<ThreadState *>; ///< reusable registrations
 Options g_options;                       ///< guarded by g_mutex
 bool g_ever_started = false;
 bool g_handler_installed = false;

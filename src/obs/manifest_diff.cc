@@ -153,119 +153,66 @@ globMatch(const std::string &pattern, const std::string &text)
     return p == pattern.size();
 }
 
-WatchSpec
-WatchSpec::parse(const std::string &text)
+bool
+parseWatchList(const std::string &specs, std::vector<WatchSpec> *out,
+               std::string *err)
 {
-    WatchSpec spec;
-    spec.pattern = text;
-    if (text.size() >= 2) {
-        const std::string tail = text.substr(text.size() - 2);
+    out->clear();
+    std::size_t begin = 0;
+    while (begin <= specs.size()) {
+        std::size_t end = specs.find(',', begin);
+        if (end == std::string::npos)
+            end = specs.size();
+        const std::string text = specs.substr(begin, end - begin);
+        begin = end + 1;
+        if (text.empty())
+            continue;
+        WatchSpec spec{text, true};
+        const std::string tail =
+            text.size() >= 2 ? text.substr(text.size() - 2) : "";
         if (tail == ":+" || tail == ":-") {
             spec.pattern = text.substr(0, text.size() - 2);
             spec.higherIsBetter = tail == ":+";
         }
+        if (spec.pattern.empty()) {
+            *err = "empty watch pattern in '" + text + "'";
+            return false;
+        }
+        out->push_back(std::move(spec));
     }
-    if (spec.pattern.empty())
-        dee_fatal("empty watch pattern in '", text, "'");
-    return spec;
+    return true;
 }
 
 bool
-RegressionReport::anyRegressed() const
+watchRows(const LoadedManifest &baseline, const LoadedManifest &candidate,
+          const std::vector<WatchSpec> &watches,
+          std::vector<GateRow> *rows, std::string *err)
 {
-    for (const RegressionItem &item : items) {
-        if (item.regressed)
-            return true;
-    }
-    return false;
-}
-
-std::string
-RegressionReport::render(double threshold) const
-{
-    Table table({"metric", "baseline", "candidate", "delta", "status"});
-    for (const RegressionItem &item : items) {
-        std::string status = "ok";
-        if (item.missing)
-            status = "MISSING";
-        else if (item.regressed)
-            status = "REGRESSED";
-        table.addRow({item.metric, Table::fmt(item.baseline, 6),
-                      item.missing ? "-" : Table::fmt(item.candidate, 6),
-                      item.missing ? "-"
-                                   : Table::fmtPercent(item.relChange, 2),
-                      status});
-    }
-    std::ostringstream oss;
-    oss << table.render();
-    oss << "threshold: " << Table::fmtPercent(threshold, 2)
-        << " relative; " << items.size() << " watched metric(s)\n";
-    return oss.str();
-}
-
-std::string
-RegressionReport::renderFailures(double threshold) const
-{
-    std::ostringstream oss;
-    for (const RegressionItem &item : items) {
-        if (item.missing) {
-            oss << "FAIL " << item.metric
-                << ": watched metric missing from candidate (baseline "
-                << Table::fmt(item.baseline, 6) << ")\n";
-        } else if (item.regressed) {
-            oss << "FAIL " << item.metric << ": baseline "
-                << Table::fmt(item.baseline, 6) << ", candidate "
-                << Table::fmt(item.candidate, 6) << " ("
-                << Table::fmtPercent(item.relChange, 2)
-                << ", threshold " << Table::fmtPercent(threshold, 2)
-                << ")\n";
+    for (const WatchSpec &watch : watches) {
+        const bool matches = std::any_of(
+            baseline.metrics.begin(), baseline.metrics.end(),
+            [&](const auto &m) { return globMatch(watch.pattern, m.first); });
+        if (!matches) {
+            *err = "watch pattern '" + watch.pattern +
+                   "' matches no metric of " + baseline.path;
+            return false;
         }
     }
-    return oss.str();
-}
-
-RegressionReport
-checkRegressions(const LoadedManifest &baseline,
-                 const LoadedManifest &candidate,
-                 const std::vector<WatchSpec> &watches, double threshold)
-{
-    dee_assert(threshold >= 0.0, "negative regression threshold");
-    RegressionReport report;
     for (const auto &[path, base_value] : baseline.metrics) {
-        const WatchSpec *matched = nullptr;
-        for (const WatchSpec &w : watches) {
-            if (globMatch(w.pattern, path)) {
-                matched = &w;
-                break;
-            }
-        }
-        if (matched == nullptr)
+        const auto watch = std::find_if(
+            watches.begin(), watches.end(),
+            [&](const WatchSpec &w) { return globMatch(w.pattern, path); });
+        if (watch == watches.end())
             continue;
-
-        RegressionItem item;
-        item.metric = path;
-        item.baseline = base_value;
-        double cand_value = 0.0;
-        if (!candidate.metric(path, &cand_value)) {
-            item.missing = true;
-            item.regressed = true;
-            report.items.push_back(std::move(item));
-            continue;
-        }
-        item.candidate = cand_value;
-        const double delta = cand_value - base_value;
-        // Relative change against the baseline magnitude; a zero
-        // baseline falls back to comparing the absolute move, so a
-        // metric appearing out of nowhere still trips the gate.
-        item.relChange = base_value != 0.0
-                             ? delta / std::fabs(base_value)
-                             : delta;
-        const double bad =
-            matched->higherIsBetter ? -item.relChange : item.relChange;
-        item.regressed = bad > threshold;
-        report.items.push_back(std::move(item));
+        GateRow row;
+        row.key = path;
+        row.baseline = base_value;
+        row.higherIsBetter = watch->higherIsBetter;
+        if (double value; candidate.metric(path, &value))
+            row.candidate = value;
+        rows->push_back(std::move(row));
     }
-    return report;
+    return true;
 }
 
 namespace
@@ -273,18 +220,18 @@ namespace
 
 /**
  * True for "profile.<scope>.branches.<pc>.squashed_slots" paths — the
- * per-branch attribution metrics the profile gate compares. On match,
- * *branch receives the "<pc>" token.
+ * per-branch attribution metrics the profile gate compares. The pc
+ * must be the *last* segment before the suffix ("0x12", not
+ * "0x12.resolve_latency"): deeper branch fields are not squash totals.
  */
 bool
-isBranchSquashMetric(const std::string &path, std::string *branch)
+isBranchSquashMetric(const std::string &path)
 {
     static const std::string kPrefix = "profile.";
     static const std::string kMark = ".branches.";
     static const std::string kSuffix = ".squashed_slots";
-    if (path.compare(0, kPrefix.size(), kPrefix) != 0)
-        return false;
-    if (path.size() < kSuffix.size() ||
+    if (path.compare(0, kPrefix.size(), kPrefix) != 0 ||
+        path.size() < kSuffix.size() ||
         path.compare(path.size() - kSuffix.size(), kSuffix.size(),
                      kSuffix) != 0)
         return false;
@@ -293,91 +240,29 @@ isBranchSquashMetric(const std::string &path, std::string *branch)
         return false;
     const std::size_t pc_begin = mark + kMark.size();
     const std::size_t pc_end = path.size() - kSuffix.size();
-    if (pc_end <= pc_begin)
-        return false;
-    // The pc must be the *last* segment before the suffix ("0x12", not
-    // "0x12.resolve_latency") — deeper branch fields have their own
-    // dots and are not squash totals.
-    const std::string pc = path.substr(pc_begin, pc_end - pc_begin);
-    if (pc.find('.') != std::string::npos)
-        return false;
-    if (branch)
-        *branch = pc;
-    return true;
+    return pc_end > pc_begin &&
+           path.find('.', pc_begin) == pc_end;
 }
 
 } // namespace
 
-ProfileRegressionReport
-checkProfileRegressions(const LoadedManifest &baseline,
-                        const LoadedManifest &candidate,
-                        double threshold, double minSlots)
+std::vector<GateRow>
+profileRows(const LoadedManifest &baseline, const LoadedManifest &candidate)
 {
-    dee_assert(threshold >= 0.0, "negative profile-diff threshold");
-    dee_assert(minSlots >= 0.0, "negative profile-diff slot floor");
-    ProfileRegressionReport report;
+    std::vector<GateRow> rows;
     for (const auto &[path, cand_value] : candidate.metrics) {
-        std::string branch;
-        if (!isBranchSquashMetric(path, &branch))
+        if (!isBranchSquashMetric(path))
             continue;
-
-        ProfileRegressionItem item;
-        item.metric = path;
-        item.branch = branch;
-        item.candidate = cand_value;
-        if (!baseline.metric(path, &item.baseline)) {
-            item.newSite = true;
-            if (cand_value > minSlots)
-                report.items.push_back(std::move(item));
-            continue;
-        }
-        const double growth = cand_value - item.baseline;
-        if (growth <= minSlots)
-            continue;
-        item.relChange = item.baseline > 0.0
-                             ? growth / item.baseline
-                             : growth;
-        if (item.baseline > 0.0 && item.relChange <= threshold)
-            continue;
-        report.items.push_back(std::move(item));
+        GateRow row;
+        row.key = path;
+        row.candidate = cand_value;
+        if (double value; baseline.metric(path, &value))
+            row.baseline = value;
+        row.higherIsBetter = false;
+        row.absFloor = kProfileMinSlots;
+        rows.push_back(std::move(row));
     }
-    std::sort(report.items.begin(), report.items.end(),
-              [](const ProfileRegressionItem &a,
-                 const ProfileRegressionItem &b) {
-                  const double ga = a.candidate - a.baseline;
-                  const double gb = b.candidate - b.baseline;
-                  if (ga != gb)
-                      return ga > gb;
-                  return a.metric < b.metric;
-              });
-    return report;
-}
-
-std::string
-ProfileRegressionReport::render(double threshold, double minSlots) const
-{
-    std::ostringstream oss;
-    for (const ProfileRegressionItem &item : items) {
-        oss << "FAIL " << item.metric << ": branch " << item.branch;
-        if (item.newSite) {
-            oss << " is a new speculation hotspot ("
-                << Table::fmt(item.candidate, 0)
-                << " squashed slots, none in baseline)";
-        } else {
-            oss << " squashed slots grew "
-                << Table::fmt(item.baseline, 0) << " -> "
-                << Table::fmt(item.candidate, 0) << " ("
-                << Table::fmtPercent(item.relChange, 2) << ", threshold "
-                << Table::fmtPercent(threshold, 2) << ")";
-        }
-        oss << "\n";
-    }
-    if (!items.empty()) {
-        oss << items.size() << " profile regression(s); gate: relative > "
-            << Table::fmtPercent(threshold, 2) << " and absolute > "
-            << Table::fmt(minSlots, 0) << " slots\n";
-    }
-    return oss.str();
+    return rows;
 }
 
 namespace
@@ -420,110 +305,38 @@ phaseNumber(const Json &entry, const char *key)
 
 } // namespace
 
-HotspotRegressionReport
-checkHotspotRegressions(const LoadedManifest &baseline,
-                        const LoadedManifest &candidate,
-                        double threshold, double minSamples)
+bool
+hotspotRows(const LoadedManifest &baseline, const LoadedManifest &candidate,
+            std::vector<GateRow> *rows, std::string *err)
 {
-    dee_assert(threshold >= 0.0, "negative hotspot-diff threshold");
-    dee_assert(minSamples >= 0.0, "negative hotspot-diff floor");
-    HotspotRegressionReport report;
-    const Json *base_phases = hotspotPhases(baseline, &report.error);
+    const Json *base_phases = hotspotPhases(baseline, err);
     if (base_phases == nullptr)
-        return report;
-    const Json *cand_phases = hotspotPhases(candidate, &report.error);
+        return false;
+    const Json *cand_phases = hotspotPhases(candidate, err);
     if (cand_phases == nullptr)
-        return report;
-
+        return false;
     for (const auto &[phase, entry] : cand_phases->members()) {
         if (!entry.isObject())
             continue;
-        HotspotRegressionItem item;
-        item.phase = phase;
-        item.candidatePct = phaseNumber(entry, "self_pct");
-        item.candidateSamples = phaseNumber(entry, "self");
-        if (item.candidateSamples < minSamples)
+        const double cand_self = phaseNumber(entry, "self");
+        if (cand_self < kHotspotMinSamples)
             continue; /* too few samples to call it a shift */
-
-        const Json *base_entry = base_phases->find(phase);
-        if (base_entry == nullptr || !base_entry->isObject()) {
-            item.newPhase = true;
-            item.relChange = item.candidatePct / 100.0;
-            item.noiseFloor =
-                3.0 / std::sqrt(item.candidateSamples);
-            if (item.relChange > threshold + item.noiseFloor)
-                report.items.push_back(std::move(item));
-            continue;
+        GateRow row;
+        row.key = "hotspots.phases." + phase;
+        row.candidate = phaseNumber(entry, "self_pct") / 100.0;
+        row.higherIsBetter = false;
+        row.noiseLabel = "3-sigma";
+        row.noise = 3.0 / std::sqrt(cand_self);
+        if (const Json *base_entry = base_phases->find(phase);
+            base_entry != nullptr && base_entry->isObject()) {
+            row.baseline = phaseNumber(*base_entry, "self_pct") / 100.0;
+            const double base_self =
+                std::max(phaseNumber(*base_entry, "self"), 1.0);
+            row.noise = 3.0 * std::sqrt(1.0 / base_self + 1.0 / cand_self);
         }
-        item.baselinePct = phaseNumber(*base_entry, "self_pct");
-        const double growth = item.candidatePct - item.baselinePct;
-        if (growth <= 0.0)
-            continue; /* shrinking phases are improvements */
-        item.relChange = item.baselinePct > 0.0
-                             ? growth / item.baselinePct
-                             : growth / 100.0;
-        /* Both shares are Poisson count estimates; their combined
-         * 3-sigma relative error widens the gate, so a 60-sample
-         * phase needs a much bigger jump than a 600-sample one. The
-         * floor is added to the threshold, not max()ed with it: the
-         * threshold alone must carry systematic run-to-run drift
-         * (scheduling, frequency), which counting error ignores. */
-        const double base_self =
-            std::max(phaseNumber(*base_entry, "self"), 1.0);
-        item.noiseFloor =
-            3.0 * std::sqrt(1.0 / base_self +
-                            1.0 / item.candidateSamples);
-        if (item.relChange <= threshold + item.noiseFloor)
-            continue;
-        report.items.push_back(std::move(item));
+        rows->push_back(std::move(row));
     }
-    std::sort(report.items.begin(), report.items.end(),
-              [](const HotspotRegressionItem &a,
-                 const HotspotRegressionItem &b) {
-                  const double ga = a.candidatePct - a.baselinePct;
-                  const double gb = b.candidatePct - b.baselinePct;
-                  if (ga != gb)
-                      return ga > gb;
-                  return a.phase < b.phase;
-              });
-    return report;
-}
-
-std::string
-HotspotRegressionReport::render(double threshold,
-                                double minSamples) const
-{
-    std::ostringstream oss;
-    for (const HotspotRegressionItem &item : items) {
-        oss << "FAIL hotspots.phases." << item.phase << ": phase "
-            << item.phase;
-        if (item.newPhase) {
-            oss << " is a new host hotspot ("
-                << Table::fmt(item.candidatePct, 2)
-                << "% self share over "
-                << Table::fmt(item.candidateSamples, 0)
-                << " samples, none in baseline)";
-        } else {
-            oss << " host self share grew "
-                << Table::fmt(item.baselinePct, 2) << "% -> "
-                << Table::fmt(item.candidatePct, 2) << "% ("
-                << Table::fmtPercent(item.relChange, 2)
-                << ", tolerance "
-                << Table::fmtPercent(threshold + item.noiseFloor, 2)
-                << " = " << Table::fmtPercent(threshold, 2)
-                << " + 3-sigma "
-                << Table::fmtPercent(item.noiseFloor, 2) << ")";
-        }
-        oss << "\n";
-    }
-    if (!items.empty()) {
-        oss << items.size()
-            << " host hotspot regression(s); gate: relative > "
-            << Table::fmtPercent(threshold, 2)
-            << " + 3-sigma counting error, over phases with >= "
-            << Table::fmt(minSamples, 0) << " self samples\n";
-    }
-    return oss.str();
+    return true;
 }
 
 namespace

@@ -5,9 +5,10 @@
  * The testable core of tools/dee_report: load two or more
  * dee.run.v1..v7 manifests, flatten every numeric leaf to a dotted
  * metric path
- * ("results.DEE-CD-MF.speedup", "accounting.window.waste_fraction"),
- * render an aligned side-by-side diff, and check a watch-list of
- * metrics for regressions beyond a relative threshold.
+ * ("results.harmonic_mean.DEE.0", "accounting.window.waste_fraction"),
+ * render an aligned side-by-side diff, and build the rows that the
+ * regression gate (obs/gate.hh) evaluates for --check, --profile-diff
+ * and --hotspot-diff.
  *
  * Watch specs are "pattern[:+|-]" strings:
  *   - pattern is a dotted path with '*' wildcards matching any run of
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/gate.hh"
 #include "obs/json.hh"
 
 namespace dee::obs
@@ -72,141 +74,58 @@ struct WatchSpec
 {
     std::string pattern;
     bool higherIsBetter = true;
-
-    /** Parses "pattern[:+|-]"; fatal on an empty pattern. */
-    static WatchSpec parse(const std::string &text);
-};
-
-/** Outcome of checking one watched metric across two manifests. */
-struct RegressionItem
-{
-    std::string metric;
-    double baseline = 0.0;
-    double candidate = 0.0;
-    /** Signed relative change, (candidate - baseline) / |baseline|. */
-    double relChange = 0.0;
-    bool regressed = false;
-    /** Metric matched a watch but is missing from the candidate. */
-    bool missing = false;
-};
-
-/** All watched-metric outcomes for a baseline/candidate pair. */
-struct RegressionReport
-{
-    std::vector<RegressionItem> items;
-
-    bool anyRegressed() const;
-    /** Aligned table, worst offenders flagged in the last column. */
-    std::string render(double threshold) const;
-    /**
-     * One "FAIL <metric>: ..." line per regressed or missing item, with
-     * both values and the relative change — the actionable part of a
-     * failed gate, kept separate from the full table so CI logs show
-     * exactly which metric tripped it. Empty when nothing regressed.
-     */
-    std::string renderFailures(double threshold) const;
 };
 
 /**
- * Evaluates @p watches over every baseline metric they match. A metric
- * regresses when it moves in the bad direction by more than
- * @p threshold relative to the baseline (a zero baseline compares the
- * absolute change against the threshold instead). A watched baseline
- * metric absent from the candidate is reported missing and counts as a
- * regression.
+ * Parses a comma-separated list of "pattern[:+|-]" watch specs.
+ * @return false with *err naming the first spec whose pattern is empty.
  */
-RegressionReport checkRegressions(const LoadedManifest &baseline,
-                                  const LoadedManifest &candidate,
-                                  const std::vector<WatchSpec> &watches,
-                                  double threshold);
-
-/** One per-branch squashed-slot regression between two manifests. */
-struct ProfileRegressionItem
-{
-    std::string metric; ///< full flattened path that tripped the gate
-    std::string branch; ///< the branch PC token, e.g. "0x12"
-    double baseline = 0.0;  ///< baseline squashed slots (0 if new site)
-    double candidate = 0.0; ///< candidate squashed slots
-    /** (candidate - baseline) / baseline; meaningless for a new site. */
-    double relChange = 0.0;
-    bool newSite = false; ///< branch absent from the baseline profile
-};
-
-/** Outcome of a per-branch speculation-profile comparison. */
-struct ProfileRegressionReport
-{
-    std::vector<ProfileRegressionItem> items; ///< worst growth first
-
-    bool anyRegressed() const { return !items.empty(); }
-    /**
-     * One "FAIL ..." line per item, naming the branch PC and both
-     * slot counts — empty when the profile is clean.
-     */
-    std::string render(double threshold, double minSlots) const;
-};
+bool parseWatchList(const std::string &specs, std::vector<WatchSpec> *out,
+                    std::string *err);
 
 /**
- * Compares per-branch squashed-slot attribution between two manifests'
- * "profile" sections. A branch regresses when its squashed slots grow
- * by more than @p threshold relative to the baseline AND by more than
- * @p minSlots absolute (the absolute floor keeps tiny branches from
- * tripping the gate on noise). A branch present only in the candidate
- * regresses when it alone exceeds @p minSlots. Shrinking or vanishing
- * branches are improvements, never failures.
+ * --check rows: every baseline metric a watch matches (the first
+ * matching watch sets the direction), no noise term, no floor.
+ * @return false with *err naming a watch that matches no baseline
+ * metric — a watch list that silently watches nothing is a usage
+ * error, not a pass.
  */
-ProfileRegressionReport checkProfileRegressions(
-    const LoadedManifest &baseline, const LoadedManifest &candidate,
-    double threshold, double minSlots);
+bool watchRows(const LoadedManifest &baseline,
+               const LoadedManifest &candidate,
+               const std::vector<WatchSpec> &watches,
+               std::vector<GateRow> *rows, std::string *err);
 
-/** One host-phase CPU-share regression between two manifests. */
-struct HotspotRegressionItem
-{
-    std::string phase;      ///< "scope.phase" key that tripped the gate
-    double baselinePct = 0.0;  ///< baseline self share (% of samples)
-    double candidatePct = 0.0; ///< candidate self share
-    /** (candidate - baseline) / baseline share; share fraction itself
-     *  for a new phase or a zero baseline. */
-    double relChange = 0.0;
-    double candidateSamples = 0.0; ///< candidate self samples
-    /** 3-sigma relative Poisson counting error of the comparison,
-     *  3 * sqrt(1/baseline_self + 1/candidate_self) — added to the
-     *  threshold, so shares estimated from few samples get a wider
-     *  gate automatically. */
-    double noiseFloor = 0.0;
-    bool newPhase = false; ///< phase absent from the baseline section
-};
-
-/** Outcome of a per-phase host-hotspot comparison. */
-struct HotspotRegressionReport
-{
-    std::vector<HotspotRegressionItem> items; ///< worst growth first
-    /** Non-empty when either manifest carries no usable "hotspots"
-     *  section (run without --hotspots, or pre-v7) — a usage error,
-     *  not a pass. */
-    std::string error;
-
-    bool anyRegressed() const { return !items.empty(); }
-    /** One "FAIL ..." line per item, naming the phase and both
-     *  shares — empty when the host profile is clean. */
-    std::string render(double threshold, double minSamples) const;
-};
+/** --profile-diff absolute floor: a branch's squashed slots must grow
+ *  by more than this many slots to fail. */
+constexpr double kProfileMinSlots = 64.0;
 
 /**
- * Compares per-phase host-CPU self shares between two manifests'
- * "hotspots" sections (schema v7). A phase regresses when its self
- * share of the captured samples grows by more than @p threshold plus
- * its 3-sigma Poisson counting error (shares are sampling estimates:
- * a 60-sample phase carries ~40% relative 3-sigma wobble, and the
- * widened gate absorbs it instead of flaking — the --perf-diff MAD
- * noise floor, applied to counting statistics) AND its candidate
- * self-sample count is at least @p minSamples (the floor keeps
- * barely-sampled phases out entirely). A phase present only in the
- * candidate regresses when it alone clears every bar. Shrinking or
- * vanishing phases are improvements, never failures.
+ * --profile-diff rows: one per "profile.<scope>.branches.<pc>.
+ * squashed_slots" metric of the candidate, lower is better, with the
+ * kProfileMinSlots floor. A branch only the baseline has is an
+ * improvement and gets no row.
  */
-HotspotRegressionReport checkHotspotRegressions(
-    const LoadedManifest &baseline, const LoadedManifest &candidate,
-    double threshold, double minSamples);
+std::vector<GateRow> profileRows(const LoadedManifest &baseline,
+                                 const LoadedManifest &candidate);
+
+/** --hotspot-diff sample floor: phases with fewer candidate self
+ *  samples are left out (their shares are noise, not shifts). */
+constexpr double kHotspotMinSamples = 50.0;
+
+/**
+ * --hotspot-diff rows: one per "hotspots.phases.<phase>" of the
+ * candidate with at least kHotspotMinSamples self samples, its self
+ * share as a fraction, lower is better. The noise term is the 3-sigma
+ * relative Poisson error of the two counts,
+ * 3 * sqrt(1/baseline_self + 1/candidate_self) (3 / sqrt(candidate_self)
+ * for a new phase), so shares estimated from few samples get a wider
+ * gate automatically.
+ * @return false with *err when either manifest carries no usable
+ * "hotspots" section (run without --hotspots, or pre-v7).
+ */
+bool hotspotRows(const LoadedManifest &baseline,
+                 const LoadedManifest &candidate,
+                 std::vector<GateRow> *rows, std::string *err);
 
 /**
  * Side-by-side diff of every metric matching @p filter (empty matches

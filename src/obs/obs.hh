@@ -17,6 +17,7 @@
  *   telemetry/stats_server.hh  unix-socket live-stats endpoint
  *   manifest.hh      machine-readable run manifests
  *   manifest_diff.hh manifest loading/flattening/diffing (dee_report)
+ *   gate.hh          the one regression gate behind dee_report's modes
  *   session.hh       --json/--trace-out/--stats wiring for binaries
  *   json.hh          the minimal JSON model everything above emits
  */
@@ -25,6 +26,7 @@
 #define DEE_OBS_OBS_HH
 
 #include "obs/accounting.hh"
+#include "obs/gate.hh"
 #include "obs/heartbeat.hh"
 #include "obs/isolate.hh"
 #include "obs/json.hh"

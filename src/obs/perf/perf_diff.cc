@@ -1,10 +1,7 @@
 #include "obs/perf/perf_diff.hh"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
-
-#include "common/table.hh"
 
 namespace dee::obs::perf
 {
@@ -149,93 +146,25 @@ loadBenchArtifact(const std::string &path, BenchArtifact *out,
     return parseBenchArtifact(buf.str(), path, out, err);
 }
 
-bool
-PerfRegressionReport::anyRegressed() const
+std::vector<GateRow>
+throughputRows(const BenchArtifact &baseline, const BenchArtifact &candidate)
 {
-    for (const PerfRegressionItem &item : items) {
-        if (item.regressed)
-            return true;
-    }
-    return false;
-}
-
-PerfRegressionReport
-checkPerfRegressions(const BenchArtifact &baseline,
-                     const BenchArtifact &candidate, double threshold,
-                     double noise_mult)
-{
-    PerfRegressionReport report;
+    std::vector<GateRow> rows;
     for (const BenchTarget &base : baseline.targets) {
         if (base.kips <= 0.0)
             continue;
-        PerfRegressionItem item;
-        item.target = base.name;
-        item.baselineKips = base.kips;
-        const BenchTarget *cand = candidate.find(base.name);
-        if (cand == nullptr) {
-            item.missing = true;
-            item.regressed = true;
-            report.items.push_back(std::move(item));
-            continue;
+        GateRow row;
+        row.key = base.name;
+        row.baseline = base.kips;
+        row.noiseLabel = "MAD";
+        if (const BenchTarget *cand = candidate.find(base.name)) {
+            row.candidate = cand->kips;
+            row.noise =
+                kPerfNoiseMult * (base.kipsMad + cand->kipsMad) / base.kips;
         }
-        item.candidateKips = cand->kips;
-        item.relChange = (cand->kips - base.kips) / base.kips;
-        item.noiseFloor =
-            noise_mult * (base.kipsMad + cand->kipsMad) / base.kips;
-        const double tolerance = threshold + item.noiseFloor;
-        item.regressed = -item.relChange > tolerance;
-        report.items.push_back(std::move(item));
+        rows.push_back(std::move(row));
     }
-    return report;
-}
-
-std::string
-PerfRegressionReport::render(double threshold) const
-{
-    Table table({"target", "baseline KIPS", "candidate KIPS", "delta",
-                 "noise floor", "status"});
-    for (const PerfRegressionItem &item : items) {
-        std::string status = "ok";
-        if (item.missing)
-            status = "MISSING";
-        else if (item.regressed)
-            status = "REGRESSED";
-        table.addRow(
-            {item.target, Table::fmt(item.baselineKips, 1),
-             item.missing ? "-" : Table::fmt(item.candidateKips, 1),
-             item.missing ? "-" : Table::fmtPercent(item.relChange, 2),
-             item.missing ? "-" : Table::fmtPercent(item.noiseFloor, 2),
-             status});
-    }
-    std::ostringstream oss;
-    oss << table.render();
-    oss << "threshold: " << Table::fmtPercent(threshold, 2)
-        << " relative + per-target noise floor; " << items.size()
-        << " target(s)\n";
-    return oss.str();
-}
-
-std::string
-PerfRegressionReport::renderFailures(double threshold,
-                                     bool warn_only) const
-{
-    const char *tag = warn_only ? "WARN" : "FAIL";
-    std::ostringstream oss;
-    for (const PerfRegressionItem &item : items) {
-        if (item.missing) {
-            oss << tag << " " << item.target
-                << ": target missing from candidate (baseline "
-                << Table::fmt(item.baselineKips, 1) << " KIPS)\n";
-        } else if (item.regressed) {
-            oss << tag << " " << item.target << ": throughput "
-                << Table::fmt(item.baselineKips, 1) << " -> "
-                << Table::fmt(item.candidateKips, 1) << " KIPS ("
-                << Table::fmtPercent(item.relChange, 2) << ", tolerance "
-                << Table::fmtPercent(threshold + item.noiseFloor, 2)
-                << ")\n";
-        }
-    }
-    return oss.str();
+    return rows;
 }
 
 } // namespace dee::obs::perf

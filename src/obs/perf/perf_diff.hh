@@ -1,26 +1,24 @@
 /**
  * @file
- * Throughput-trajectory artifacts and host-perf regression gating.
+ * Throughput-trajectory artifacts and their regression-gate rows.
  *
  * dee_bench emits one BENCH_throughput.json per run (schema
  * dee.bench.v1): per-target median KIPS (simulated kilo-instructions
  * per host second), the MAD of those repetitions, wall ms and host
- * IPC. This module is the testable core of dee_report --perf-diff: it
- * loads two artifacts and flags every target whose throughput dropped
- * by more than a relative threshold — widened per target by a noise
- * floor derived from the measurements' own MADs, so CI jitter cannot
- * trip the gate:
+ * IPC. This module loads two artifacts and turns them into rows for
+ * the regression gate (obs/gate.hh), one per target, whose noise term
+ * comes from the measurements' own MADs so CI jitter cannot trip the
+ * gate:
  *
- *     floor  = noise_mult * (base.mad + cand.mad) / base.kips
+ *     noise  = kPerfNoiseMult * (base.mad + cand.mad) / base.kips
  *     FAIL when (base.kips - cand.kips) / base.kips
- *                  > threshold + floor
+ *                  > threshold + noise
  *
- * The floor is *added* to the threshold rather than max()ed with it:
- * within-run repetition MADs measure scheduling jitter inside one
- * process but systematically underestimate run-to-run variance (cache
- * and ASLR layout, frequency scaling), so the threshold must carry
- * that baseline wobble on its own — which is also why dee_report's
- * --perf-diff default threshold (10%) is looser than --check's 5%.
+ * Within-run repetition MADs measure scheduling jitter inside one
+ * process but underestimate run-to-run variance (cache and ASLR
+ * layout, frequency scaling), so the threshold must carry that
+ * wobble on its own — which is why dee_report's --perf-diff default
+ * threshold (10%) is looser than --check's 5%.
  *
  * Rising throughput and targets only the candidate has are never
  * failures; a baseline target missing from the candidate is (the
@@ -35,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/gate.hh"
 #include "obs/json.hh"
 
 namespace dee::obs::perf
@@ -81,51 +80,17 @@ bool parseBenchArtifact(const std::string &text, const std::string &path,
 bool loadBenchArtifact(const std::string &path, BenchArtifact *out,
                        std::string *err);
 
-/** Outcome of gating one target across two artifacts. */
-struct PerfRegressionItem
-{
-    std::string target;
-    double baselineKips = 0.0;
-    double candidateKips = 0.0;
-    /** Signed relative change; negative = slower. */
-    double relChange = 0.0;
-    /** The per-target noise floor (relative) the gate applied. */
-    double noiseFloor = 0.0;
-    bool regressed = false;
-    bool missing = false; ///< target absent from the candidate
-};
-
-/** All per-target outcomes for a baseline/candidate artifact pair. */
-struct PerfRegressionReport
-{
-    std::vector<PerfRegressionItem> items; ///< baseline target order
-
-    bool anyRegressed() const;
-
-    /** Aligned per-target table (every target, not just failures). */
-    std::string render(double threshold) const;
-
-    /**
-     * One "FAIL <target>: ..." (or "WARN" under @p warn_only) line per
-     * regressed or missing target, naming both KIPS values and the
-     * effective tolerance. All failures render — the gate never stops
-     * at the first — so a CI log shows the full damage at once. Empty
-     * when clean.
-     */
-    std::string renderFailures(double threshold,
-                               bool warn_only = false) const;
-};
+/** Multiplier of the --perf-diff MAD noise term (file comment). */
+constexpr double kPerfNoiseMult = 4.0;
 
 /**
- * Gates @p candidate against @p baseline target by target (see file
- * comment for the noise-floor formula). Baseline targets with
- * non-positive KIPS are skipped — there is no meaningful relative
- * change against them.
+ * --perf-diff rows: one per baseline target with positive KIPS (there
+ * is no relative change against a dead one), higher is better, with
+ * the MAD noise term of the file comment. Targets only the candidate
+ * has get no row.
  */
-PerfRegressionReport checkPerfRegressions(const BenchArtifact &baseline,
-                                          const BenchArtifact &candidate,
-                                          double threshold,
-                                          double noise_mult);
+std::vector<GateRow> throughputRows(const BenchArtifact &baseline,
+                                    const BenchArtifact &candidate);
 
 } // namespace dee::obs::perf
 

@@ -214,6 +214,17 @@ manifestWithPhases(
     return doc.dump(2);
 }
 
+/** The --hotspot-diff gate at its 25% default threshold. */
+GateReport
+checkHotspots(const LoadedManifest &baseline,
+              const LoadedManifest &candidate)
+{
+    std::vector<GateRow> rows;
+    std::string err;
+    EXPECT_TRUE(hotspotRows(baseline, candidate, &rows, &err)) << err;
+    return evaluateGate(std::move(rows), 0.25);
+}
+
 TEST(HotspotManifest, V7SectionRoundTrip)
 {
     Registry reg;
@@ -254,10 +265,10 @@ TEST(HotspotManifest, V6DocumentsStillParseButDiffReportsError)
         << err;
 
     // Gating a v6 baseline is a usage error, not a silent pass.
-    const HotspotRegressionReport report =
-        checkHotspotRegressions(old_doc, new_doc, 0.25, 50.0);
-    EXPECT_FALSE(report.error.empty());
-    EXPECT_FALSE(report.anyRegressed());
+    std::vector<GateRow> rows;
+    EXPECT_FALSE(hotspotRows(old_doc, new_doc, &rows, &err));
+    EXPECT_NE(err.find("old.json"), std::string::npos) << err;
+    EXPECT_TRUE(rows.empty());
 }
 
 TEST(HotspotDiff, SelfDiffPassesAndInjectedSkewFailsNamingPhase)
@@ -271,9 +282,7 @@ TEST(HotspotDiff, SelfDiffPassesAndInjectedSkewFailsNamingPhase)
     ASSERT_TRUE(parseManifest(base_text, "self.json", &self, &err));
 
     // Self-diff: identical shares never regress.
-    const HotspotRegressionReport clean =
-        checkHotspotRegressions(baseline, self, 0.25, 50.0);
-    EXPECT_TRUE(clean.error.empty()) << clean.error;
+    const GateReport clean = checkHotspots(baseline, self);
     EXPECT_FALSE(clean.anyRegressed());
 
     // Injected 2x skew on window.issue: fails, naming the phase.
@@ -281,13 +290,12 @@ TEST(HotspotDiff, SelfDiffPassesAndInjectedSkewFailsNamingPhase)
         manifestWithPhases({{"window.issue", 800.0, 80.0},
                             {"window.fetch", 200.0, 20.0}}),
         "skew.json", &skewed, &err));
-    const HotspotRegressionReport skew =
-        checkHotspotRegressions(baseline, skewed, 0.25, 50.0);
-    EXPECT_TRUE(skew.error.empty()) << skew.error;
+    const GateReport skew = checkHotspots(baseline, skewed);
     ASSERT_TRUE(skew.anyRegressed());
-    EXPECT_EQ(skew.items.size(), 1u);
-    EXPECT_EQ(skew.items[0].phase, "window.issue");
-    const std::string rendered = skew.render(0.25, 50.0);
+    EXPECT_EQ(skew.regressions(), 1u);
+    EXPECT_EQ(skew.rows[0].key, "hotspots.phases.window.issue");
+    EXPECT_TRUE(skew.rows[0].regressed);
+    const std::string rendered = skew.renderFailures();
     EXPECT_NE(rendered.find("FAIL"), std::string::npos) << rendered;
     EXPECT_NE(rendered.find("window.issue"), std::string::npos)
         << rendered;
@@ -306,11 +314,7 @@ TEST(HotspotDiff, MinSamplesFloorSuppressesNoise)
     ASSERT_TRUE(parseManifest(
         manifestWithPhases({{"tree.tree_move", 40.0, 4.0}}),
         "cand.json", &skewed, &err));
-    EXPECT_FALSE(checkHotspotRegressions(baseline, skewed, 0.25, 50.0)
-                     .anyRegressed());
-    // Lowering the floor makes the same growth trip the gate.
-    EXPECT_TRUE(checkHotspotRegressions(baseline, skewed, 0.25, 10.0)
-                    .anyRegressed());
+    EXPECT_TRUE(checkHotspots(baseline, skewed).rows.empty());
 }
 
 // ------------------------------------------------- live sampling
@@ -329,20 +333,17 @@ TEST(HotspotDiff, PoissonNoiseFloorWidensGateForSmallCounts)
     ASSERT_TRUE(parseManifest(
         manifestWithPhases({{"window.fetch", 100.0, 10.0}}),
         "noise.json", &cand_noise, &err));
-    EXPECT_FALSE(
-        checkHotspotRegressions(baseline, cand_noise, 0.25, 50.0)
-            .anyRegressed());
+    EXPECT_FALSE(checkHotspots(baseline, cand_noise).anyRegressed());
 
     // 6% -> 16% clears threshold + noise floor: a real shift.
     ASSERT_TRUE(parseManifest(
         manifestWithPhases({{"window.fetch", 160.0, 16.0}}),
         "shift.json", &cand_shift, &err));
-    const HotspotRegressionReport report =
-        checkHotspotRegressions(baseline, cand_shift, 0.25, 50.0);
+    const GateReport report = checkHotspots(baseline, cand_shift);
     ASSERT_TRUE(report.anyRegressed());
-    EXPECT_EQ(report.items[0].phase, "window.fetch");
-    EXPECT_GT(report.items[0].noiseFloor, 0.0);
-    const std::string rendered = report.render(0.25, 50.0);
+    EXPECT_EQ(report.rows[0].key, "hotspots.phases.window.fetch");
+    EXPECT_GT(report.rows[0].noise, 0.0);
+    const std::string rendered = report.renderFailures();
     EXPECT_NE(rendered.find("3-sigma"), std::string::npos) << rendered;
 }
 

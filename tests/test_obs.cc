@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "obs/obs.hh"
@@ -372,12 +373,14 @@ TEST(Manifest, AccountingSectionMirrorsRegistrySubtree)
 
 // --- Manifest diffing (the dee_report core) -----------------------------
 
-using dee::obs::checkRegressions;
+using dee::obs::evaluateGate;
 using dee::obs::flattenNumeric;
+using dee::obs::GateReport;
+using dee::obs::GateRow;
 using dee::obs::globMatch;
 using dee::obs::LoadedManifest;
 using dee::obs::parseManifest;
-using dee::obs::RegressionReport;
+using dee::obs::parseWatchList;
 using dee::obs::renderManifestDiff;
 using dee::obs::WatchSpec;
 
@@ -410,6 +413,18 @@ loaded(const std::string &text, const std::string &label)
     return m;
 }
 
+/** The --check gate: watch-list rows evaluated at @p threshold. */
+GateReport
+checkWatches(const LoadedManifest &base, const LoadedManifest &cand,
+             const std::vector<WatchSpec> &watches, double threshold)
+{
+    std::vector<GateRow> rows;
+    std::string err;
+    EXPECT_TRUE(dee::obs::watchRows(base, cand, watches, &rows, &err))
+        << err;
+    return evaluateGate(std::move(rows), threshold);
+}
+
 TEST(ManifestDiff, GlobMatch)
 {
     EXPECT_TRUE(globMatch("a.b.c", "a.b.c"));
@@ -426,17 +441,34 @@ TEST(ManifestDiff, GlobMatch)
 
 TEST(ManifestDiff, WatchSpecParsing)
 {
-    const WatchSpec plain = WatchSpec::parse("results.*");
-    EXPECT_EQ(plain.pattern, "results.*");
-    EXPECT_TRUE(plain.higherIsBetter);
+    std::vector<WatchSpec> watches;
+    std::string err;
+    ASSERT_TRUE(parseWatchList("results.*,results.speedup:+,,"
+                               "accounting.*:-",
+                               &watches, &err))
+        << err;
+    ASSERT_EQ(watches.size(), 3u);
+    EXPECT_EQ(watches[0].pattern, "results.*");
+    EXPECT_TRUE(watches[0].higherIsBetter);
+    EXPECT_EQ(watches[1].pattern, "results.speedup");
+    EXPECT_TRUE(watches[1].higherIsBetter);
+    EXPECT_EQ(watches[2].pattern, "accounting.*");
+    EXPECT_FALSE(watches[2].higherIsBetter);
 
-    const WatchSpec up = WatchSpec::parse("results.speedup:+");
-    EXPECT_EQ(up.pattern, "results.speedup");
-    EXPECT_TRUE(up.higherIsBetter);
+    // An empty pattern is an error value naming the spec, not an abort.
+    EXPECT_FALSE(parseWatchList("results.*,:+", &watches, &err));
+    EXPECT_NE(err.find("':+'"), std::string::npos) << err;
+}
 
-    const WatchSpec down = WatchSpec::parse("accounting.*:-");
-    EXPECT_EQ(down.pattern, "accounting.*");
-    EXPECT_FALSE(down.higherIsBetter);
+TEST(ManifestDiff, WatchMatchingNothingIsAnError)
+{
+    const LoadedManifest base = loaded(manifestText(30.0, 0.2), "base");
+    std::vector<GateRow> rows;
+    std::string err;
+    EXPECT_FALSE(dee::obs::watchRows(
+        base, base, {{"results.speedup", true}, {"results.*ipc*", true}},
+        &rows, &err));
+    EXPECT_NE(err.find("results.*ipc*"), std::string::npos) << err;
 }
 
 TEST(ManifestDiff, FlattenNumericWalksObjectsAndArrays)
@@ -499,32 +531,30 @@ TEST(ManifestDiff, RegressionGateTripsInTheWatchedDirectionOnly)
         loaded(manifestText(30.0, 0.30), "c3");
 
     const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
+        WatchSpec{"results.speedup", true},
+        WatchSpec{"accounting.*.waste_fraction", false}};
 
     // 10% drop in speedup > 5% threshold: regression.
     EXPECT_TRUE(
-        checkRegressions(base, slower, watches, 0.05).anyRegressed());
+        checkWatches(base, slower, watches, 0.05).anyRegressed());
     // Improvement in the good direction never trips.
     EXPECT_FALSE(
-        checkRegressions(base, faster, watches, 0.05).anyRegressed());
+        checkWatches(base, faster, watches, 0.05).anyRegressed());
     // waste_fraction rose 50%: lower-is-better watch trips.
     EXPECT_TRUE(
-        checkRegressions(base, wasteful, watches, 0.05).anyRegressed());
+        checkWatches(base, wasteful, watches, 0.05).anyRegressed());
     // Inside the threshold: no trip.
     const LoadedManifest close = loaded(manifestText(29.5, 0.20), "c4");
     EXPECT_FALSE(
-        checkRegressions(base, close, watches, 0.05).anyRegressed());
+        checkWatches(base, close, watches, 0.05).anyRegressed());
 
-    const RegressionReport report =
-        checkRegressions(base, slower, watches, 0.05);
-    ASSERT_EQ(report.items.size(), 2u);
-    EXPECT_EQ(report.items[0].metric, "results.speedup");
-    EXPECT_TRUE(report.items[0].regressed);
-    EXPECT_NEAR(report.items[0].relChange, -0.1, 1e-9);
-    EXPECT_FALSE(report.items[1].regressed);
-    EXPECT_NE(report.render(0.05).find("REGRESSED"),
-              std::string::npos);
+    const GateReport report =
+        checkWatches(base, slower, watches, 0.05);
+    ASSERT_EQ(report.rows.size(), 2u);
+    EXPECT_EQ(report.rows[0].key, "results.speedup");
+    EXPECT_TRUE(report.rows[0].regressed);
+    EXPECT_NEAR(report.rows[0].relChange, -0.1, 1e-9);
+    EXPECT_FALSE(report.rows[1].regressed);
 }
 
 TEST(ManifestDiff, MissingWatchedMetricCountsAsRegression)
@@ -533,13 +563,13 @@ TEST(ManifestDiff, MissingWatchedMetricCountsAsRegression)
     const LoadedManifest gone =
         loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
     const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.*:+")};
-    const RegressionReport report =
-        checkRegressions(base, gone, watches, 0.05);
+        WatchSpec{"results.*", true}};
+    const GateReport report =
+        checkWatches(base, gone, watches, 0.05);
     EXPECT_TRUE(report.anyRegressed());
     bool saw_missing = false;
-    for (const auto &item : report.items)
-        saw_missing |= item.missing;
+    for (const GateRow &row : report.rows)
+        saw_missing |= !row.candidate;
     EXPECT_TRUE(saw_missing);
 }
 
@@ -548,13 +578,13 @@ TEST(ManifestDiff, FailureLinesNameTheMetricAndBothValues)
     const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
     const LoadedManifest slower = loaded(manifestText(27.0, 0.20), "c1");
     const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
+        WatchSpec{"results.speedup", true},
+        WatchSpec{"accounting.*.waste_fraction", false}};
 
-    const RegressionReport report =
-        checkRegressions(base, slower, watches, 0.05);
+    const GateReport report =
+        checkWatches(base, slower, watches, 0.05);
     ASSERT_TRUE(report.anyRegressed());
-    const std::string failures = report.renderFailures(0.05);
+    const std::string failures = report.renderFailures();
     // The offending metric path and both values, on one FAIL line.
     EXPECT_NE(failures.find("FAIL results.speedup"), std::string::npos);
     EXPECT_NE(failures.find("baseline 30"), std::string::npos);
@@ -565,8 +595,8 @@ TEST(ManifestDiff, FailureLinesNameTheMetricAndBothValues)
 
     // A clean gate renders nothing.
     const LoadedManifest same = loaded(manifestText(30.0, 0.20), "c2");
-    EXPECT_TRUE(checkRegressions(base, same, watches, 0.05)
-                    .renderFailures(0.05)
+    EXPECT_TRUE(checkWatches(base, same, watches, 0.05)
+                    .renderFailures()
                     .empty());
 }
 
@@ -578,11 +608,11 @@ TEST(ManifestDiff, EveryRegressedMetricGetsItsOwnFailureLine)
     const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
     const LoadedManifest worse = loaded(manifestText(20.0, 0.40), "c1");
     const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
+        WatchSpec{"results.speedup", true},
+        WatchSpec{"accounting.*.waste_fraction", false}};
 
     const std::string failures =
-        checkRegressions(base, worse, watches, 0.05).renderFailures(0.05);
+        checkWatches(base, worse, watches, 0.05).renderFailures();
     EXPECT_NE(failures.find("FAIL results.speedup"), std::string::npos)
         << failures;
     EXPECT_NE(failures.find("FAIL accounting.window.waste_fraction"),
@@ -602,13 +632,76 @@ TEST(ManifestDiff, FailureLinesReportMissingMetrics)
     const LoadedManifest gone =
         loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
     const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.*:+")};
+        WatchSpec{"results.*", true}};
     const std::string failures =
-        checkRegressions(base, gone, watches, 0.05).renderFailures(0.05);
+        checkWatches(base, gone, watches, 0.05).renderFailures();
     EXPECT_NE(failures.find("FAIL results.extra"), std::string::npos);
     EXPECT_NE(failures.find("missing from candidate"),
               std::string::npos);
     EXPECT_NE(failures.find("baseline 7"), std::string::npos);
+}
+
+TEST(Gate, VerdictBoundaries)
+{
+    // One table for the one rule: exactly at tolerance passes; missing
+    // always fails; a new row fails only past its floor; the two
+    // directions mirror each other; a zero baseline compares the
+    // absolute move. Values are binary-exact so "at" means equal.
+    struct Case
+    {
+        const char *what;
+        std::optional<double> base, cand;
+        bool higherIsBetter;
+        double noise, floor, threshold;
+        bool regressed;
+    };
+    const std::optional<double> none;
+    const Case cases[] = {
+        {"drop at threshold", 8.0, 6.0, true, 0.0, 0.0, 0.25, false},
+        {"drop past threshold", 8.0, 5.5, true, 0.0, 0.0, 0.25, true},
+        {"rise at threshold", 8.0, 10.0, false, 0.0, 0.0, 0.25, false},
+        {"rise past threshold", 8.0, 10.5, false, 0.0, 0.0, 0.25, true},
+        {"drop at threshold+noise", 8.0, 5.0, true, 0.125, 0.0, 0.25,
+         false},
+        {"drop past threshold+noise", 8.0, 4.5, true, 0.125, 0.0, 0.25,
+         true},
+        {"improvement up", 8.0, 100.0, true, 0.0, 0.0, 0.0, false},
+        {"improvement down", 8.0, 0.0, false, 0.0, 0.0, 0.0, false},
+        {"missing", 8.0, none, true, 0.0, 0.0, 0.25, true},
+        {"missing, lower is better", 8.0, none, false, 0.0, 64.0, 1.0,
+         true},
+        {"new at floor", none, 64.0, false, 0.0, 64.0, 0.05, false},
+        {"new past floor", none, 65.0, false, 0.0, 64.0, 0.05, true},
+        {"new share at threshold", none, 0.25, false, 0.0, 0.0, 0.25,
+         false},
+        {"new share past threshold", none, 0.5, false, 0.0, 0.0, 0.25,
+         true},
+        {"zero baseline at threshold", 0.0, -0.25, true, 0.0, 0.0, 0.25,
+         false},
+        {"zero baseline past threshold", 0.0, -0.5, true, 0.0, 0.0, 0.25,
+         true},
+        {"relative past, absolute under floor", 1.0, 50.0, false, 0.0,
+         64.0, 0.05, false},
+        {"negative baseline uses |baseline|", -4.0, -5.0, true, 0.0, 0.0,
+         0.25, false},
+        {"negative baseline past", -4.0, -5.5, true, 0.0, 0.0, 0.25,
+         true},
+    };
+    for (const Case &c : cases) {
+        GateRow row;
+        row.key = c.what;
+        row.baseline = c.base;
+        row.candidate = c.cand;
+        row.higherIsBetter = c.higherIsBetter;
+        row.noise = c.noise;
+        row.absFloor = c.floor;
+        const GateReport report = evaluateGate({row}, c.threshold);
+        EXPECT_EQ(report.rows[0].regressed, c.regressed) << c.what;
+        EXPECT_EQ(report.renderFailures().find(std::string("FAIL ") +
+                                               c.what + ":") == 0,
+                  c.regressed)
+            << c.what;
+    }
 }
 
 TEST(ManifestDiff, SideBySideRenderIncludesDeltaForPairs)

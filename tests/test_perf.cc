@@ -23,6 +23,7 @@ namespace
 {
 
 using obs::CellSink;
+using obs::GateReport;
 using obs::Heartbeat;
 using obs::IsolationScope;
 using obs::Json;
@@ -32,13 +33,11 @@ using obs::parseManifest;
 using obs::Registry;
 using obs::perf::BenchArtifact;
 using obs::perf::BenchTarget;
-using obs::perf::checkPerfRegressions;
 using obs::perf::HwCounters;
 using obs::perf::HwSample;
 using obs::perf::madAbout;
 using obs::perf::median;
 using obs::perf::parseBenchArtifact;
-using obs::perf::PerfRegressionReport;
 using obs::perf::refreshPerfScalars;
 using obs::perf::SampleSummary;
 using obs::perf::summarize;
@@ -331,6 +330,15 @@ TEST(BenchStats, EmptyInputYieldsEmptySummary)
 
 // -------------------------------------------------------- perf diff
 
+/** The --perf-diff gate: throughput rows evaluated at @p threshold. */
+GateReport
+checkPerf(const BenchArtifact &base, const BenchArtifact &cand,
+          double threshold)
+{
+    return obs::evaluateGate(obs::perf::throughputRows(base, cand),
+                             threshold);
+}
+
 BenchTarget
 target(const std::string &name, double kips, double mad)
 {
@@ -346,12 +354,12 @@ TEST(PerfDiff, SmallDropsAndImprovementsPass)
     BenchArtifact base, cand;
     base.targets = {target("a", 100.0, 0.0), target("b", 100.0, 0.0)};
     cand.targets = {target("a", 98.0, 0.0), target("b", 140.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 2u);
+    const GateReport report =
+        checkPerf(base, cand, 0.05);
+    ASSERT_EQ(report.rows.size(), 2u);
     EXPECT_FALSE(report.anyRegressed());
-    EXPECT_DOUBLE_EQ(report.items[0].relChange, -0.02);
-    EXPECT_DOUBLE_EQ(report.items[1].relChange, 0.40);
+    EXPECT_DOUBLE_EQ(report.rows[0].relChange, -0.02);
+    EXPECT_DOUBLE_EQ(report.rows[1].relChange, 0.40);
 }
 
 TEST(PerfDiff, LargeDropFailsAndMissingTargetFails)
@@ -359,14 +367,14 @@ TEST(PerfDiff, LargeDropFailsAndMissingTargetFails)
     BenchArtifact base, cand;
     base.targets = {target("a", 100.0, 0.0), target("gone", 50.0, 0.0)};
     cand.targets = {target("a", 80.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 2u);
+    const GateReport report =
+        checkPerf(base, cand, 0.05);
+    ASSERT_EQ(report.rows.size(), 2u);
     EXPECT_TRUE(report.anyRegressed());
-    EXPECT_TRUE(report.items[0].regressed);
-    EXPECT_FALSE(report.items[0].missing);
-    EXPECT_TRUE(report.items[1].regressed);
-    EXPECT_TRUE(report.items[1].missing);
+    EXPECT_TRUE(report.rows[0].regressed);
+    EXPECT_TRUE(report.rows[0].candidate.has_value());
+    EXPECT_TRUE(report.rows[1].regressed);
+    EXPECT_FALSE(report.rows[1].candidate.has_value());
 }
 
 TEST(PerfDiff, NoiseFloorWidensTheGate)
@@ -377,16 +385,16 @@ TEST(PerfDiff, NoiseFloorWidensTheGate)
     BenchArtifact base, cand;
     base.targets = {target("t", 100.0, 0.5)};
     cand.targets = {target("t", 92.0, 0.5)};
-    const PerfRegressionReport noisy =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    EXPECT_DOUBLE_EQ(noisy.items[0].noiseFloor, 0.04);
+    const GateReport noisy =
+        checkPerf(base, cand, 0.05);
+    EXPECT_DOUBLE_EQ(noisy.rows[0].noise, 0.04);
     EXPECT_FALSE(noisy.anyRegressed());
 
     base.targets = {target("t", 100.0, 0.0)};
     cand.targets = {target("t", 92.0, 0.0)};
-    const PerfRegressionReport quiet =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    EXPECT_DOUBLE_EQ(quiet.items[0].noiseFloor, 0.0);
+    const GateReport quiet =
+        checkPerf(base, cand, 0.05);
+    EXPECT_DOUBLE_EQ(quiet.rows[0].noise, 0.0);
     EXPECT_TRUE(quiet.anyRegressed());
 }
 
@@ -395,10 +403,10 @@ TEST(PerfDiff, ZeroKipsBaselineTargetsAreSkipped)
     BenchArtifact base, cand;
     base.targets = {target("dead", 0.0, 0.0), target("t", 10.0, 0.0)};
     cand.targets = {target("t", 10.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].target, "t");
+    const GateReport report =
+        checkPerf(base, cand, 0.05);
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_EQ(report.rows[0].key, "t");
 }
 
 TEST(PerfDiff, RenderFailuresListsEveryFailureNotJustTheFirst)
@@ -409,23 +417,20 @@ TEST(PerfDiff, RenderFailuresListsEveryFailureNotJustTheFirst)
                     target("ok", 100.0, 0.0)};
     cand.targets = {target("a", 50.0, 0.0), target("b", 60.0, 0.0),
                     target("ok", 101.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    const std::string failures = report.renderFailures(0.05);
+    const GateReport report =
+        checkPerf(base, cand, 0.05);
+    const std::string failures = report.renderFailures();
     EXPECT_EQ(countOf(failures, "FAIL "), 3u) << failures;
     EXPECT_NE(failures.find("FAIL a:"), std::string::npos);
     EXPECT_NE(failures.find("FAIL b:"), std::string::npos);
     EXPECT_NE(failures.find("FAIL gone:"), std::string::npos);
     EXPECT_EQ(failures.find("ok"), std::string::npos);
 
-    const std::string warnings = report.renderFailures(0.05, true);
+    const std::string warnings = report.renderFailures(true);
     EXPECT_EQ(countOf(warnings, "WARN "), 3u) << warnings;
     EXPECT_EQ(warnings.find("FAIL"), std::string::npos);
-
-    // The full table renders one row per compared target.
-    const std::string table = report.render(0.05);
-    EXPECT_NE(table.find("REGRESSED"), std::string::npos);
-    EXPECT_NE(table.find("MISSING"), std::string::npos);
+    EXPECT_NE(failures.find("FAIL gone: missing from candidate"),
+              std::string::npos);
 }
 
 TEST(PerfDiff, ArtifactJsonRoundTrips)

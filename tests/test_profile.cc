@@ -32,12 +32,11 @@ namespace
 {
 
 using obs::BlockLoopNest;
-using obs::checkProfileRegressions;
+using obs::GateReport;
 using obs::Json;
 using obs::kNoSite;
 using obs::LoadedManifest;
 using obs::parseManifest;
-using obs::ProfileRegressionReport;
 using obs::ProfileStore;
 using obs::SlotClass;
 using obs::SpeculationProfile;
@@ -376,6 +375,13 @@ loadText(const std::string &text, const std::string &label)
     return m;
 }
 
+/** The --profile-diff gate: per-branch rows evaluated at 5%. */
+GateReport
+checkProfile(const LoadedManifest &base, const LoadedManifest &cand)
+{
+    return obs::evaluateGate(obs::profileRows(base, cand), 0.05);
+}
+
 TEST(ProfileDiff, GrowthBeyondBothThresholdsFailsNamingThePc)
 {
     const LoadedManifest base =
@@ -383,14 +389,14 @@ TEST(ProfileDiff, GrowthBeyondBothThresholdsFailsNamingThePc)
     const LoadedManifest grown =
         loadText(profileManifestText(300, false), "cand");
 
-    const ProfileRegressionReport report =
-        checkProfileRegressions(base, grown, 0.05, 64.0);
+    const GateReport report = checkProfile(base, grown);
     ASSERT_TRUE(report.anyRegressed());
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].branch, "0x7");
-    EXPECT_FALSE(report.items[0].newSite);
-    EXPECT_DOUBLE_EQ(report.items[0].relChange, 2.0);
-    const std::string rendered = report.render(0.05, 64.0);
+    ASSERT_EQ(report.regressions(), 1u);
+    EXPECT_EQ(report.rows[0].key,
+              "profile.compress.DEE.branches.0x7.squashed_slots");
+    EXPECT_TRUE(report.rows[0].baseline.has_value());
+    EXPECT_DOUBLE_EQ(report.rows[0].relChange, 2.0);
+    const std::string rendered = report.renderFailures();
     EXPECT_NE(rendered.find("FAIL"), std::string::npos);
     EXPECT_NE(rendered.find("0x7"), std::string::npos);
 }
@@ -402,15 +408,11 @@ TEST(ProfileDiff, SmallAbsoluteGrowthAndImprovementsPass)
     // +10 slots is a 10% relative rise but under the 64-slot floor.
     const LoadedManifest wiggle =
         loadText(profileManifestText(110, false), "c1");
-    EXPECT_FALSE(
-        checkProfileRegressions(base, wiggle, 0.05, 64.0)
-            .anyRegressed());
+    EXPECT_FALSE(checkProfile(base, wiggle).anyRegressed());
     // Shrinking is an improvement, never a failure.
     const LoadedManifest better =
         loadText(profileManifestText(10, false), "c2");
-    EXPECT_FALSE(
-        checkProfileRegressions(base, better, 0.05, 64.0)
-            .anyRegressed());
+    EXPECT_FALSE(checkProfile(base, better).anyRegressed());
 }
 
 TEST(ProfileDiff, NewHotSiteFails)
@@ -419,13 +421,15 @@ TEST(ProfileDiff, NewHotSiteFails)
         loadText(profileManifestText(100, false), "base");
     const LoadedManifest with_new =
         loadText(profileManifestText(100, true), "cand");
-    const ProfileRegressionReport report =
-        checkProfileRegressions(base, with_new, 0.05, 64.0);
+    const GateReport report = checkProfile(base, with_new);
     ASSERT_TRUE(report.anyRegressed());
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].branch, "0x9");
-    EXPECT_TRUE(report.items[0].newSite);
-    EXPECT_NE(report.render(0.05, 64.0).find("0x9"),
+    ASSERT_EQ(report.regressions(), 1u);
+    ASSERT_EQ(report.rows.size(), 2u);
+    EXPECT_EQ(report.rows[1].key,
+              "profile.compress.DEE.branches.0x9.squashed_slots");
+    EXPECT_TRUE(report.rows[1].regressed);
+    EXPECT_FALSE(report.rows[1].baseline.has_value());
+    EXPECT_NE(report.renderFailures().find("0x9"),
               std::string::npos);
 }
 

@@ -5,79 +5,61 @@
  * Usage:
  *   dee_report MANIFEST...                    side-by-side metric diff
  *   dee_report --filter 'results.*' A B      restrict rows by glob
- *   dee_report --check --baseline BASE CAND  exit 1 when a watched
- *                                            metric regresses
- *   dee_report --profile-diff --baseline BASE CAND
- *                                            exit 1 when any branch's
- *                                            squashed-slot attribution
- *                                            regresses
- *   dee_report --perf-diff --baseline BASE.json CAND.json
- *                                            exit 1 when any bench
- *                                            target's throughput drops
- *                                            beyond threshold + noise
- *   dee_report --hotspot-diff --baseline BASE CAND
- *                                            exit 1 when any host
- *                                            phase's CPU self share
- *                                            grows beyond threshold
- *                                            (runs made with
- *                                            --hotspots, schema v7)
+ *   dee_report GATE... --baseline BASE CAND  exit 1 on a regression
  *
- * Gating modes compose: pass --check, --profile-diff and
- * --hotspot-diff together and every gate runs against the same
- * baseline/candidate pair, every failure line from every gate prints,
- * and the exit status is 1 when any gate failed. (--perf-diff reads
- * dee.bench.v1 artifacts from tools/dee_bench rather than run
- * manifests, so it is usually its own invocation.)
+ * Every gating mode builds rows from its own data and hands them to
+ * the one regression gate (obs/gate.hh): a row fails when its
+ * candidate is missing, or when it moves the bad way by more than the
+ * mode's absolute floor AND, relative to the baseline, by more than
+ * the threshold plus the row's noise term.
+ *
+ *   mode            rows                      threshold  noise / floor
+ *   --check         watched manifest metrics  0.05       none
+ *   --profile-diff  per-branch squashed slots 0.05       floor 64 slots
+ *   --hotspot-diff  per-phase host self share 0.25       3-sigma Poisson;
+ *                   (runs made with --hotspots)          phases under
+ *                                                        50 samples out
+ *   --perf-diff     per-target KIPS of two    0.10       4 x (MAD_b +
+ *                   dee_bench artifacts                  MAD_c) / KIPS_b
+ *
+ * Gating modes compose: pass several and every gate runs against the
+ * same baseline/candidate pair, every failure line prints, and the
+ * exit status is 1 when any gate failed. (--perf-diff reads
+ * dee.bench.v1 artifacts rather than run manifests, so it is usually
+ * its own invocation.)
  *
  * Flags:
  *   --filter GLOB     only show metrics matching GLOB in the diff
- *   --check           run regression gating (requires --baseline and
- *                     exactly one candidate manifest)
- *   --profile-diff    gate per-branch speculation profiles instead of
- *                     the watch list (requires --baseline and exactly
- *                     one candidate manifest; manifests need "profile"
- *                     sections, i.e. runs made with --profile)
- *   --perf-diff       gate per-target host throughput (KIPS) between
- *                     two BENCH_throughput.json artifacts
  *   --baseline PATH   baseline manifest/artifact for the gating modes
- *   --watch SPECS     comma-separated watch list, each "pattern[:+|-]"
- *                     (':+' higher is better — default; ':-' lower is
- *                     better); default watches the headline metrics:
- *                       results.*speedup*:+, results.*ipc*:+,
+ *   --watch SPECS     --check's comma-separated watch list, each
+ *                     "pattern[:+|-]" (':+' higher is better — default;
+ *                     ':-' lower is better); a pattern that matches no
+ *                     baseline metric is a usage error. The default
+ *                     watches the paper's results and the accounting:
+ *                       results.benchmarks.*:+,
+ *                       results.harmonic_mean.*:+,
  *                       accounting.*.waste_fraction:-,
  *                       accounting.*.useful_fraction:+
- *   --threshold REL   relative regression tolerance (default 0.05;
- *                     --perf-diff defaults to 0.10 and --hotspot-diff
- *                     to 0.25 instead — host timing and sampled phase
- *                     shares carry run-to-run wobble that bit-exact
- *                     simulated metrics do not)
- *   --min-slots N     --profile-diff absolute growth floor: a branch
- *                     only fails when its squashed slots grow by more
- *                     than N on top of the relative threshold
- *                     (default 64)
- *   --min-samples N   --hotspot-diff sample floor: a phase only fails
- *                     when the candidate attributed at least N self
- *                     samples to it (default 50 — shares over fewer
- *                     samples are noise, not shifts)
- *   --noise-mult K    --perf-diff noise floor: per-target tolerance is
- *                     max(threshold, K * (baseline MAD + candidate
- *                     MAD) / baseline KIPS), so repetition jitter
- *                     measured by dee_bench widens the gate instead of
- *                     tripping it (default 4.0)
- *   --warn-only       --perf-diff / --hotspot-diff regressions print
- *                     WARN lines and do not affect the exit status
- *                     (CI smoke mode — host timing and host shares
- *                     both wobble across machines)
+ *   --threshold REL   relative tolerance for every requested gate,
+ *                     replacing the per-mode defaults above; a finite
+ *                     number >= 0
+ *   --warn-only       regressions print WARN lines and do not affect
+ *                     the exit status (CI smoke mode for host shares,
+ *                     which wobble across machines)
  *
- * Exit status: 0 clean, 1 regression (or missing watched metric) in
- * any gating mode, 2 usage / load errors.
+ * Exit status: 0 clean, 1 regression in any gating mode, 2 usage /
+ * load errors.
  *
  * Manifest paths are positional; the repo's Cli only does --flag pairs,
  * so parsing here is hand-rolled over argv.
  */
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,23 +69,15 @@
 namespace
 {
 
-using dee::obs::checkHotspotRegressions;
-using dee::obs::checkProfileRegressions;
-using dee::obs::checkRegressions;
-using dee::obs::HotspotRegressionReport;
+using dee::obs::evaluateGate;
+using dee::obs::GateReport;
+using dee::obs::GateRow;
 using dee::obs::LoadedManifest;
-using dee::obs::loadManifestFile;
-using dee::obs::ProfileRegressionReport;
-using dee::obs::RegressionReport;
-using dee::obs::renderManifestDiff;
-using dee::obs::WatchSpec;
 using dee::obs::perf::BenchArtifact;
-using dee::obs::perf::checkPerfRegressions;
-using dee::obs::perf::loadBenchArtifact;
-using dee::obs::perf::PerfRegressionReport;
+using Rows = std::vector<GateRow>;
 
 constexpr const char *kDefaultWatches =
-    "results.*speedup*:+,results.*ipc*:+,"
+    "results.benchmarks.*:+,results.harmonic_mean.*:+,"
     "accounting.*.waste_fraction:-,accounting.*.useful_fraction:+";
 
 void
@@ -112,61 +86,69 @@ usage(std::FILE *to)
     std::fputs(
         "usage: dee_report [options] MANIFEST.json [MANIFEST.json...]\n"
         "\n"
-        "Diffs dee.run.v1..v7 manifests metric by metric; with\n"
-        "--check, gates on watched-metric regressions against a\n"
-        "baseline; with --profile-diff, gates on per-branch\n"
-        "speculation-profile regressions; with --perf-diff, gates on\n"
-        "per-target throughput between dee_bench artifacts; with\n"
-        "--hotspot-diff, gates on per-phase host-CPU self shares.\n"
-        "Gating modes compose: every requested gate runs and every\n"
-        "failure prints before the (combined) exit status.\n"
+        "Diffs dee.run.v1..v7 manifests metric by metric. The gating\n"
+        "modes compare one candidate against --baseline and exit 1 on\n"
+        "a regression: a row fails when it is missing, or moves the bad\n"
+        "way past the mode's floor and, relatively, past threshold +\n"
+        "its noise term. Modes compose; every failure prints.\n"
+        "\n"
+        "gating modes (default threshold, noise term):\n"
+        "  --check           watched metrics (0.05, none)\n"
+        "  --profile-diff    per-branch squashed slots (0.05, floor 64\n"
+        "                    slots)\n"
+        "  --hotspot-diff    per-phase host-CPU self shares of runs made\n"
+        "                    with --hotspots (0.25, 3-sigma Poisson;\n"
+        "                    phases under 50 self samples left out)\n"
+        "  --perf-diff       per-target KIPS of two dee_bench artifacts\n"
+        "                    (0.10, 4 x the summed MADs / baseline KIPS)\n"
         "\n"
         "options:\n"
         "  --filter GLOB     only diff metrics matching GLOB\n"
-        "  --check           regression-gate one candidate against\n"
-        "                    --baseline (exit 1 on regression)\n"
-        "  --profile-diff    gate per-branch squashed-slot attribution\n"
-        "                    against --baseline (exit 1 on regression)\n"
-        "  --perf-diff       gate per-target KIPS between two\n"
-        "                    BENCH_throughput.json artifacts\n"
-        "  --hotspot-diff    gate per-phase host-CPU self shares\n"
-        "                    against --baseline (exit 1 on regression;\n"
-        "                    needs runs made with --hotspots)\n"
-        "  --baseline PATH   baseline manifest for the gating modes\n"
-        "  --watch SPECS     comma-separated \"pattern[:+|-]\" watch\n"
+        "  --baseline PATH   baseline manifest/artifact for the gates\n"
+        "  --watch SPECS     --check's comma-separated \"pattern[:+|-]\"\n"
         "                    list (+ higher is better, the default;\n"
-        "                    - lower is better)\n"
-        "  --threshold REL   relative tolerance, default 0.05\n"
-        "                    (0.10 for --perf-diff, 0.25 for\n"
-        "                    --hotspot-diff)\n"
-        "  --min-slots N     --profile-diff absolute growth floor,\n"
-        "                    default 64 squashed slots\n"
-        "  --min-samples N   --hotspot-diff candidate self-sample\n"
-        "                    floor, default 50\n"
-        "  --noise-mult K    --perf-diff noise-floor multiplier over\n"
-        "                    the repetition MADs, default 4.0\n"
-        "  --warn-only       --perf-diff / --hotspot-diff regressions\n"
-        "                    warn instead of failing the exit status\n"
+        "                    - lower is better); default\n"
+        "                    results.benchmarks.*:+,\n"
+        "                    results.harmonic_mean.*:+,\n"
+        "                    accounting.*.waste_fraction:-,\n"
+        "                    accounting.*.useful_fraction:+\n"
+        "  --threshold REL   relative tolerance (finite, >= 0) for every\n"
+        "                    requested gate\n"
+        "  --warn-only       regressions warn instead of failing\n"
         "  --help            this text\n",
         to);
 }
 
-std::vector<WatchSpec>
-parseWatchList(const std::string &specs)
+[[noreturn]] void
+die(const std::string &message)
 {
-    std::vector<WatchSpec> watches;
-    std::size_t begin = 0;
-    while (begin <= specs.size()) {
-        std::size_t end = specs.find(',', begin);
-        if (end == std::string::npos)
-            end = specs.size();
-        if (end > begin)
-            watches.push_back(
-                WatchSpec::parse(specs.substr(begin, end - begin)));
-        begin = end + 1;
-    }
-    return watches;
+    std::fprintf(stderr, "dee_report: %s\n", message.c_str());
+    std::exit(2);
 }
+
+/** --threshold's one parser: the whole string, finite, >= 0. */
+double
+parseThreshold(const std::string &text)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || !std::isfinite(value) || value < 0.0)
+        die("--threshold needs a finite number >= 0, not '" + text + "'");
+    return value;
+}
+
+/** One gating mode: its flag, what its rows are, its default
+ *  threshold and its row builder. */
+struct Mode
+{
+    const char *flag;
+    const char *rowNoun;
+    double threshold;
+    bool readsBench; ///< dee.bench.v1 artifacts, not run manifests
+    std::function<bool(Rows *, std::string *)> build;
+    bool requested = false;
+};
 
 } // namespace
 
@@ -176,80 +158,60 @@ main(int argc, char **argv)
     std::string filter;
     std::string baseline_path;
     std::string watch_specs = kDefaultWatches;
-    double threshold = 0.05;
-    bool threshold_set = false;
-    double min_slots = 64.0;
-    double min_samples = 50.0;
-    double noise_mult = 4.0;
-    bool check = false;
-    bool profile_diff = false;
-    bool perf_diff = false;
-    bool hotspot_diff = false;
+    std::optional<double> threshold; ///< unset: each mode's default
     bool warn_only = false;
     std::vector<std::string> paths;
 
+    LoadedManifest base_run, cand_run;
+    BenchArtifact base_bench, cand_bench;
+    std::vector<dee::obs::WatchSpec> watches;
+    Mode modes[] = {
+        {"--check", "watched metric", 0.05, false,
+         [&](Rows *rows, std::string *err) {
+             return dee::obs::watchRows(base_run, cand_run, watches, rows,
+                                        err);
+         }},
+        {"--profile-diff", "branch", 0.05, false,
+         [&](Rows *rows, std::string *) {
+             *rows = dee::obs::profileRows(base_run, cand_run);
+             return true;
+         }},
+        {"--hotspot-diff", "host phase", 0.25, false,
+         [&](Rows *rows, std::string *err) {
+             return dee::obs::hotspotRows(base_run, cand_run, rows, err);
+         }},
+        {"--perf-diff", "bench target", 0.10, true,
+         [&](Rows *rows, std::string *) {
+             *rows = dee::obs::perf::throughputRows(base_bench, cand_bench);
+             return true;
+         }},
+    };
+
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "dee_report: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                die(arg + " needs a value");
             return argv[++i];
         };
+        Mode *mode = nullptr;
+        for (Mode &m : modes)
+            mode = arg == m.flag ? &m : mode;
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             return 0;
+        } else if (mode != nullptr) {
+            mode->requested = true;
         } else if (arg == "--filter") {
-            filter = value("--filter");
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg == "--profile-diff") {
-            profile_diff = true;
-        } else if (arg == "--perf-diff") {
-            perf_diff = true;
-        } else if (arg == "--hotspot-diff") {
-            hotspot_diff = true;
+            filter = value();
         } else if (arg == "--warn-only") {
             warn_only = true;
         } else if (arg == "--baseline") {
-            baseline_path = value("--baseline");
+            baseline_path = value();
         } else if (arg == "--watch") {
-            watch_specs = value("--watch");
+            watch_specs = value();
         } else if (arg == "--threshold") {
-            threshold = std::strtod(value("--threshold").c_str(),
-                                    nullptr);
-            threshold_set = true;
-            if (threshold < 0.0) {
-                std::fputs("dee_report: --threshold must be >= 0\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--min-slots") {
-            min_slots = std::strtod(value("--min-slots").c_str(),
-                                    nullptr);
-            if (min_slots < 0.0) {
-                std::fputs("dee_report: --min-slots must be >= 0\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--min-samples") {
-            min_samples = std::strtod(value("--min-samples").c_str(),
-                                      nullptr);
-            if (min_samples < 0.0) {
-                std::fputs("dee_report: --min-samples must be >= 0\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--noise-mult") {
-            noise_mult = std::strtod(value("--noise-mult").c_str(),
-                                     nullptr);
-            if (noise_mult < 0.0) {
-                std::fputs("dee_report: --noise-mult must be >= 0\n",
-                           stderr);
-                return 2;
-            }
+            threshold = parseThreshold(value());
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "dee_report: unknown flag '%s'\n",
                          arg.c_str());
@@ -263,141 +225,58 @@ main(int argc, char **argv)
     auto load = [](const std::string &path) {
         LoadedManifest m;
         std::string err;
-        if (!loadManifestFile(path, &m, &err)) {
-            std::fprintf(stderr, "dee_report: %s\n", err.c_str());
-            std::exit(2);
-        }
+        if (!dee::obs::loadManifestFile(path, &m, &err))
+            die(err);
         return m;
     };
 
-    if (profile_diff || check || perf_diff || hotspot_diff) {
-        if (baseline_path.empty() || paths.size() != 1) {
-            std::fputs("dee_report: gating modes need --baseline PATH "
-                       "and exactly one candidate file\n",
-                       stderr);
-            return 2;
+    bool gating = false, runs = false, bench = false;
+    for (const Mode &m : modes) {
+        gating |= m.requested;
+        (m.readsBench ? bench : runs) |= m.requested;
+    }
+    if (gating) {
+        if (baseline_path.empty() || paths.size() != 1)
+            die("gating modes need --baseline PATH and exactly one "
+                "candidate file");
+        std::string err;
+        if (!dee::obs::parseWatchList(watch_specs, &watches, &err))
+            die("--watch: " + err);
+        if (runs) {
+            base_run = load(baseline_path);
+            cand_run = load(paths[0]);
         }
-        // Every requested gate runs, every failure line prints; the
-        // exit status is combined at the end — a profile regression
-        // must not hide the watch-list FAIL lines (or vice versa).
+        if (bench &&
+            (!dee::obs::perf::loadBenchArtifact(baseline_path,
+                                                &base_bench, &err) ||
+             !dee::obs::perf::loadBenchArtifact(paths[0], &cand_bench,
+                                                &err)))
+            die(err);
+
+        // Every requested gate runs and every failure line prints; the
+        // exit status is combined at the end, so one gate's regression
+        // never hides another's.
         bool failed = false;
-
-        if (profile_diff || check || hotspot_diff) {
-            const LoadedManifest baseline = load(baseline_path);
-            const LoadedManifest candidate = load(paths[0]);
-
-            if (profile_diff) {
-                const ProfileRegressionReport report =
-                    checkProfileRegressions(baseline, candidate,
-                                            threshold, min_slots);
-                if (report.anyRegressed()) {
-                    std::fputs(
-                        report.render(threshold, min_slots).c_str(),
-                        stdout);
-                    std::fprintf(
-                        stdout,
-                        "FAIL: %zu branch(es) regressed vs %s\n",
-                        report.items.size(), baseline_path.c_str());
-                    failed = true;
-                } else {
-                    std::fputs(
-                        "OK: no per-branch speculation regression\n",
-                        stdout);
-                }
-            }
-
-            if (hotspot_diff) {
-                // Phase shares are sampling estimates: a ~60-sample
-                // phase carries ~25% relative 2-sigma wobble run to
-                // run, so the default gate is looser still than
-                // --perf-diff's.
-                const double hot_threshold =
-                    threshold_set ? threshold : 0.25;
-                const HotspotRegressionReport report =
-                    checkHotspotRegressions(baseline, candidate,
-                                            hot_threshold,
-                                            min_samples);
-                if (!report.error.empty()) {
-                    std::fprintf(stderr, "dee_report: %s\n",
-                                 report.error.c_str());
-                    return 2;
-                }
-                if (report.anyRegressed()) {
-                    std::fputs(
-                        report.render(hot_threshold, min_samples)
-                            .c_str(),
-                        stdout);
-                    std::fprintf(
-                        stdout,
-                        "%s: %zu host phase(s) regressed vs %s\n",
-                        warn_only ? "WARN" : "FAIL",
-                        report.items.size(), baseline_path.c_str());
-                    if (!warn_only)
-                        failed = true;
-                } else {
-                    std::fputs(
-                        "OK: no host hotspot phase regressed\n",
-                        stdout);
-                }
-            }
-
-            if (check) {
-                const RegressionReport report = checkRegressions(
-                    baseline, candidate, parseWatchList(watch_specs),
-                    threshold);
-                std::fputs(report.render(threshold).c_str(), stdout);
-                if (report.anyRegressed()) {
-                    std::fputs(report.renderFailures(threshold).c_str(),
-                               stdout);
-                    std::size_t n = 0;
-                    for (const auto &item : report.items)
-                        n += (item.regressed || item.missing) ? 1 : 0;
-                    std::fprintf(
-                        stdout,
-                        "FAIL: %zu watched metric(s) regressed vs %s\n",
-                        n, baseline_path.c_str());
-                    failed = true;
-                } else {
-                    std::fputs("OK: no watched metric regressed\n",
-                               stdout);
-                }
-            }
+        for (const Mode &m : modes) {
+            if (!m.requested)
+                continue;
+            Rows rows;
+            if (!m.build(&rows, &err))
+                die(err);
+            const GateReport report =
+                evaluateGate(std::move(rows), threshold.value_or(m.threshold));
+            const std::size_t n = report.regressions();
+            std::fputs(report.renderFailures(warn_only).c_str(), stdout);
+            if (n == 0)
+                std::printf("OK: no %s regressed (%zu compared)\n",
+                            m.rowNoun, report.rows.size());
+            else
+                std::printf("%s: %zu of %zu %s(s) regressed vs %s\n",
+                            warn_only ? "WARN" : "FAIL", n,
+                            report.rows.size(), m.rowNoun,
+                            baseline_path.c_str());
+            failed |= n != 0 && !warn_only;
         }
-
-        if (perf_diff) {
-            // Host timing wobbles run to run even on a quiet machine;
-            // the default gate is looser than the bit-exact metrics'.
-            const double perf_threshold =
-                threshold_set ? threshold : 0.10;
-            BenchArtifact baseline, candidate;
-            std::string err;
-            if (!loadBenchArtifact(baseline_path, &baseline, &err) ||
-                !loadBenchArtifact(paths[0], &candidate, &err)) {
-                std::fprintf(stderr, "dee_report: %s\n", err.c_str());
-                return 2;
-            }
-            const PerfRegressionReport report = checkPerfRegressions(
-                baseline, candidate, perf_threshold, noise_mult);
-            std::fputs(report.render(perf_threshold).c_str(), stdout);
-            if (report.anyRegressed()) {
-                std::fputs(report.renderFailures(perf_threshold,
-                                                 warn_only)
-                               .c_str(),
-                           stdout);
-                std::size_t n = 0;
-                for (const auto &item : report.items)
-                    n += item.regressed ? 1 : 0;
-                std::fprintf(stdout,
-                             "%s: %zu bench target(s) regressed vs %s\n",
-                             warn_only ? "WARN" : "FAIL", n,
-                             baseline_path.c_str());
-                if (!warn_only)
-                    failed = true;
-            } else {
-                std::fputs("OK: no bench target regressed\n", stdout);
-            }
-        }
-
         return failed ? 1 : 0;
     }
 
@@ -409,6 +288,7 @@ main(int argc, char **argv)
     manifests.reserve(paths.size());
     for (const std::string &path : paths)
         manifests.push_back(load(path));
-    std::fputs(renderManifestDiff(manifests, filter).c_str(), stdout);
+    std::fputs(dee::obs::renderManifestDiff(manifests, filter).c_str(),
+               stdout);
     return 0;
 }
