@@ -16,95 +16,6 @@ namespace dee::sim_detail
 namespace
 {
 
-/** splitmix64 finalizer — full-avalanche address hashing. */
-inline std::uint64_t
-mixAddr(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/**
- * Last-store completion time per memory address. Value 0 means "no
- * prior store" — the identity for the dataflow max, so lookups never
- * branch on presence. Dense direct-address table when the workload
- * touches a small address range (the synthetic workloads index small
- * arrays); open-addressing linear-probe hash otherwise, sized to a
- * load factor <= 1/2.
- */
-class MemAvail
-{
-  public:
-    void
-    init(std::uint64_t mem_ops, std::uint64_t max_addr)
-    {
-        // Reset for arena reuse; assign() below recycles capacity.
-        dense_.clear();
-        keys_.clear();
-        vals_.clear();
-        used_.clear();
-        mask_ = 0;
-        if (mem_ops == 0)
-            return;
-        constexpr std::uint64_t kDenseCap = std::uint64_t{1} << 20;
-        if (max_addr < kDenseCap &&
-            max_addr <= 8 * mem_ops + 1024) {
-            dense_.assign(max_addr + 1, 0);
-            return;
-        }
-        std::uint64_t cap = 16;
-        while (cap < 2 * mem_ops)
-            cap <<= 1;
-        mask_ = cap - 1;
-        keys_.assign(cap, 0);
-        vals_.assign(cap, 0);
-        used_.assign(cap, 0);
-    }
-
-    std::int64_t
-    get(std::uint64_t addr) const
-    {
-        if (!dense_.empty())
-            return dense_[addr];
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (used_[h] != 0) {
-            if (keys_[h] == addr)
-                return vals_[h];
-            h = (h + 1) & mask_;
-        }
-        return 0;
-    }
-
-    void
-    put(std::uint64_t addr, std::int64_t avail)
-    {
-        if (!dense_.empty()) {
-            dense_[addr] = avail;
-            return;
-        }
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (used_[h] != 0) {
-            if (keys_[h] == addr) {
-                vals_[h] = avail;
-                return;
-            }
-            h = (h + 1) & mask_;
-        }
-        used_[h] = 1;
-        keys_[h] = addr;
-        vals_[h] = avail;
-    }
-
-  private:
-    std::vector<std::int64_t> dense_;
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::int64_t> vals_;
-    std::vector<std::uint8_t> used_;
-    std::uint64_t mask_ = 0;
-};
-
 /**
  * Closed-form coverage-walk plan. Chain-shaped trees (SP) and
  * DEE-static-shaped trees (an ML chain with one not-predicted side
@@ -183,7 +94,9 @@ struct FastScratch
     std::vector<std::int64_t> ndSuffix;
     std::vector<std::uint64_t> nm; ///< next-uncrossable-path index
     WalkPlan plan;
-    MemAvail mem;
+    /** Last-store completion time per address id; 0 means "no prior
+     *  store", the identity for the dataflow max. */
+    std::vector<std::int64_t> mem;
 };
 
 } // namespace
@@ -192,9 +105,8 @@ void
 fastForward(ForwardCtx &ctx)
 {
     static thread_local FastScratch scratch;
-    const auto &records = ctx.trace.records;
-    const std::uint64_t n = records.size();
     const std::vector<BranchPath> &paths = ctx.paths;
+    const std::vector<StaticId> &sids = ctx.branchSid;
     const std::uint64_t num_paths = paths.size();
     const SimConfig &config = ctx.config;
     const int window_reach = ctx.windowReach;
@@ -215,15 +127,13 @@ fastForward(ForwardCtx &ctx)
 
     // --- The prepared SoA stream; loads may take per-run latencies ------
     const std::vector<DecodedInstr> &dec = ctx.decoded.instrs;
-    const std::vector<std::uint64_t> &addrs = ctx.decoded.addrs;
+    const std::vector<std::uint32_t> &addr_ids = ctx.decoded.addrIds;
     const int *const load_lat = config.loadLatencies != nullptr
                                     ? config.loadLatencies->data()
                                     : nullptr;
-    std::size_t mem_cursor = 0; ///< next entry of addrs
+    std::size_t mem_cursor = 0; ///< next entry of addr_ids
 
     // --- Per-run state (SoA) --------------------------------------------
-    std::vector<std::int64_t> &exec = ctx.exec;
-    exec.assign(n, 0);
     std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
     fetch_tree.assign(num_paths, kNeverFetched);
     std::vector<std::int64_t> &root_time = ctx.rootTime;
@@ -248,8 +158,8 @@ fastForward(ForwardCtx &ctx)
         ctx.tree.flatten(profiling && !use_confidence);
 
     std::array<std::int64_t, kNumSlots> reg_avail{};
-    MemAvail &mem = scratch.mem;
-    mem.init(addrs.size(), ctx.decoded.maxAddr);
+    std::vector<std::int64_t> &mem = scratch.mem;
+    mem.assign(ctx.decoded.numAddrs, 0);
 
     // Pending mispredicts as a vector + head cursor (front-retirement
     // only, preserving the reference's blocked-front semantics).
@@ -259,8 +169,7 @@ fastForward(ForwardCtx &ctx)
     std::int64_t last_resolve = -1;
     const bool pe_limited = config.peLimit > 0;
     IssueSlots slots(config.peLimit,
-                     accounting && pe_limited ? &ctx.starvedCycles
-                                              : nullptr);
+                     accounting && pe_limited ? &ctx.starved : nullptr);
 
     // Per-tree-move scratch arenas, hoisted out of the root loop.
     std::vector<std::uint64_t> &crossed = scratch.crossed;
@@ -318,11 +227,10 @@ fastForward(ForwardCtx &ctx)
                 if (!correct[r + d]) {
                     if (!crossed.empty())
                         break; // only one mispredict deep, like DEE
-                    const TraceRecord &b =
-                        records[paths[r + d].branchIndex()];
+                    const StaticId sid = sids[r + d];
                     const double acc =
-                        b.sid < config.confidence.accuracy->size()
-                            ? (*config.confidence.accuracy)[b.sid]
+                        sid < config.confidence.accuracy->size()
+                            ? (*config.confidence.accuracy)[sid]
                             : 1.0;
                     if (acc >= config.confidence.threshold)
                         break; // confident branch: no side path here
@@ -373,9 +281,8 @@ fastForward(ForwardCtx &ctx)
                     fetch_side[x] = 0;
                     const auto node = static_cast<std::size_t>(
                         plan.mlNodes[x - r]);
-                    profile.recordAssignment(
-                        records[paths[x - 1].branchIndex()].sid,
-                        flat.cp[node], flat.rank[node]);
+                    profile.recordAssignment(sids[x - 1], flat.cp[node],
+                                             flat.rank[node]);
                 }
             }
             if (hi > frontier)
@@ -400,8 +307,7 @@ fastForward(ForwardCtx &ctx)
                                            static_cast<std::uint32_t>(
                                                x - j - 1)]);
                         profile.recordAssignment(
-                            records[paths[x - 1].branchIndex()].sid,
-                            flat.cp[node], flat.rank[node]);
+                            sids[x - 1], flat.cp[node], flat.rank[node]);
                     }
                     ++ctx.sidePathFetches;
                     byp_begin[x] = static_cast<std::uint32_t>(
@@ -443,7 +349,7 @@ fastForward(ForwardCtx &ctx)
                         // and resource-assignment rank, charged to
                         // the branch the path hangs off.
                         profile.recordAssignment(
-                            records[paths[r + d].branchIndex()].sid,
+                            sids[r + d],
                             flat.cp[static_cast<std::size_t>(node)],
                             flat.rank[static_cast<std::size_t>(node)]);
                     }
@@ -544,6 +450,8 @@ fastForward(ForwardCtx &ctx)
                           ? r - window_reach
                           : 0];
         std::int64_t done = now;
+        // Issue cycle of the path's last instruction: its exit branch.
+        std::int64_t last_issue = 0;
         {
             const obs::hotspot::HotspotPhase hot_issue(
                 hot, "window", obs::hotspot::Phase::Issue);
@@ -561,10 +469,10 @@ fastForward(ForwardCtx &ctx)
                     if (a2 > data_ready)
                         data_ready = a2;
                     std::int32_t lat = d.lat;
-                    std::uint64_t addr = 0;
+                    std::uint32_t addr = 0;
                     if (d.mem != 0) {
-                        addr = addrs[mem_cursor++];
-                        const std::int64_t am = mem.get(addr);
+                        addr = addr_ids[mem_cursor++];
+                        const std::int64_t am = mem[addr];
                         if (am > data_ready)
                             data_ready = am;
                         if (d.mem == 1 && load_lat != nullptr)
@@ -591,7 +499,7 @@ fastForward(ForwardCtx &ctx)
 
                     if (pe_limited)
                         t = slots.claim(t);
-                    exec[i] = t;
+                    last_issue = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
                     const std::int64_t fin = t + lat;
@@ -602,7 +510,7 @@ fastForward(ForwardCtx &ctx)
                     // publish the last-store completion per address).
                     reg_avail[d.dst] = fin;
                     if (d.mem == 2)
-                        mem.put(addr, fin);
+                        mem[addr] = fin;
                 }
             } else {
                 for (DynIndex i = paths[r].begin; i < pend_i; ++i) {
@@ -613,10 +521,10 @@ fastForward(ForwardCtx &ctx)
                     if (a2 > data_ready)
                         data_ready = a2;
                     std::int32_t lat = d.lat;
-                    std::uint64_t addr = 0;
+                    std::uint32_t addr = 0;
                     if (d.mem != 0) {
-                        addr = addrs[mem_cursor++];
-                        const std::int64_t am = mem.get(addr);
+                        addr = addr_ids[mem_cursor++];
+                        const std::int64_t am = mem[addr];
                         if (am > data_ready)
                             data_ready = am;
                         if (d.mem == 1 && load_lat != nullptr)
@@ -627,7 +535,7 @@ fastForward(ForwardCtx &ctx)
                         fetch_a > data_ready ? fetch_a : data_ready;
                     if (pe_limited)
                         t = slots.claim(t);
-                    exec[i] = t;
+                    last_issue = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
                     const std::int64_t fin = t + lat;
@@ -636,7 +544,7 @@ fastForward(ForwardCtx &ctx)
 
                     reg_avail[d.dst] = fin;
                     if (d.mem == 2)
-                        mem.put(addr, fin);
+                        mem[addr] = fin;
                 }
             }
         }
@@ -646,15 +554,20 @@ fastForward(ForwardCtx &ctx)
         if (paths[r].endsInBranch) {
             const obs::hotspot::HotspotPhase hot_resolve(
                 hot, "window", obs::hotspot::Phase::Resolve);
-            const DynIndex b = paths[r].branchIndex();
-            res = exec[b] + branch_lat;
+            // A path's branch is its last record (PreparedTrace checks
+            // that once per trace), so last_issue is the branch's issue
+            // cycle as long as this path issued anything at all.
+            DEE_INVARIANT(paths[r].end > paths[r].begin, "branch path ", r,
+                          " is empty");
+            res = last_issue + branch_lat;
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
+            const bool backward = ctx.backward[r] != 0;
             if (use_cd && !correct[r] &&
-                (records[b].backward || join_idx[r] > paths[r].end)) {
-                pending.push_back(PendingMispredict{
-                    r, join_idx[r], res, records[b].backward});
+                (backward || join_idx[r] > paths[r].end)) {
+                pending.push_back(
+                    PendingMispredict{r, join_idx[r], res, backward});
                 stall_valid = false;
             }
         }
@@ -689,11 +602,11 @@ std::int64_t
 fastOracle(const DecodedTrace &decoded,
            const std::vector<int> *load_latencies, obs::SlotLedger *ledger)
 {
-    static thread_local MemAvail mem;
+    static thread_local std::vector<std::int64_t> mem;
     const std::vector<DecodedInstr> &dec = decoded.instrs;
-    const std::vector<std::uint64_t> &addrs = decoded.addrs;
+    const std::vector<std::uint32_t> &addr_ids = decoded.addrIds;
     std::array<std::int64_t, kNumSlots> reg_avail{};
-    mem.init(addrs.size(), decoded.maxAddr);
+    mem.assign(decoded.numAddrs, 0);
     std::size_t mem_cursor = 0;
 
     std::int64_t last = 0;
@@ -704,10 +617,10 @@ fastOracle(const DecodedTrace &decoded,
         const std::int64_t a2 = reg_avail[d.src2];
         if (a2 > ready)
             ready = a2;
-        std::uint64_t addr = 0;
+        std::uint32_t addr = 0;
         if (d.mem != 0) {
-            addr = addrs[mem_cursor++];
-            const std::int64_t am = mem.get(addr);
+            addr = addr_ids[mem_cursor++];
+            const std::int64_t am = mem[addr];
             if (am > ready)
                 ready = am;
         }
@@ -718,7 +631,7 @@ fastOracle(const DecodedTrace &decoded,
 
         reg_avail[d.dst] = fin;
         if (d.mem == 2)
-            mem.put(addr, fin);
+            mem[addr] = fin;
 
         if (ledger != nullptr)
             ledger->issue(ready);

@@ -12,9 +12,14 @@
  *    time of the last writer per architectural register, with an
  *    always-zero slot standing in for "no dependence" so the inner
  *    loop is branch-free on the register path).
- *  - Memory dataflow through a direct-address table when the touched
- *    address space is small, or an open-addressing hash otherwise —
- *    replacing the per-access node-allocating unordered_map.
+ *  - Memory dataflow through one dense table indexed by the prepared
+ *    compact address ids (DecodedTrace::addrIds), whatever the address
+ *    values — replacing the per-access node-allocating unordered_map.
+ *  - No per-instruction output: the branch's issue cycle is a local
+ *    (a path's branch is its last record), issue counts go straight
+ *    into the per-cycle ledger, and the run's length is the root's
+ *    last move. Branch static ids and directions come prepared per
+ *    path, so the kernel never reads a trace record.
  *  - Tree moves over the FlatSpecTree array view; per-path correctness
  *    and mispredict sets live in BitVec64 words (common/bit_matrix.hh)
  *    scanned with popcount/ctz in the shared epilogue.

@@ -18,12 +18,14 @@
 #ifndef DEE_CORE_SIM_FORWARD_PASS_HH
 #define DEE_CORE_SIM_FORWARD_PASS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bit_matrix.hh"
+#include "common/invariant.hh"
 #include "core/sim/prepared_trace.hh"
 #include "core/sim/window_sim.hh"
 #include "obs/accounting.hh"
@@ -38,18 +40,27 @@ constexpr std::int64_t kNeverFetched =
     std::numeric_limits<std::int64_t>::max();
 
 /**
- * Per-cycle issue-slot accounting for the limited-PE extension: finds
- * the earliest cycle >= ready with a free slot and claims it. Shared
- * verbatim between the engines so starvation evidence is identical.
+ * Per-cycle issue slots for the limited-PE extension: claim() finds the
+ * earliest cycle >= ready with a free slot and takes it. Shared verbatim
+ * between the engines so starvation evidence is identical.
+ *
+ * Occupancy is one dense counter per cycle. Full cycles point forward
+ * (next_[t] > t) to a later cycle that may be free; find() follows the
+ * chain to the first free cycle and compresses it, so a ready time far
+ * behind the fill frontier costs amortized near-O(1) instead of one
+ * probe per full cycle.
  */
 class IssueSlots
 {
   public:
-    /** @param starved when non-null, every fully-occupied cycle an
-     *  instruction probed while waiting for a slot is appended —
-     *  the resource-starvation evidence for cycle accounting. */
-    explicit IssueSlots(int width,
-                        std::vector<std::int64_t> *starved = nullptr)
+    /** A run of cycles [begin, end) that were all full when an
+     *  instruction ready at begin had to wait until end. */
+    using Range = std::pair<std::int64_t, std::int64_t>;
+
+    /** @param starved when non-null, every wait is appended as the
+     *  range of full cycles it skipped — the resource-starvation
+     *  evidence for cycle accounting (ranges may overlap). */
+    explicit IssueSlots(int width, std::vector<Range> *starved = nullptr)
         : width_(width), starved_(starved)
     {
     }
@@ -59,24 +70,55 @@ class IssueSlots
     {
         if (width_ == 0)
             return ready;
-        std::int64_t t = std::max(ready, floor_);
-        while (true) {
-            auto &used = used_[t];
-            if (used < width_) {
-                ++used;
-                return t;
-            }
-            if (starved_)
-                starved_->push_back(t);
-            ++t;
-        }
+        DEE_INVARIANT(ready >= 0, "issue slot claimed at cycle ", ready);
+        const std::int64_t t = find(ready);
+        const auto c = static_cast<std::size_t>(t);
+        if (c >= used_.size())
+            grow(c);
+        if (++used_[c] == width_)
+            next_[c] = t + 1;
+        if (starved_ != nullptr && t > ready)
+            starved_->emplace_back(ready, t);
+        return t;
     }
 
   private:
+    /** First cycle >= @p t with a free slot (cycles past the end of
+     *  the table are all free). */
+    std::int64_t
+    find(std::int64_t t)
+    {
+        const auto size = static_cast<std::int64_t>(next_.size());
+        std::int64_t free = t;
+        while (free < size && next_[static_cast<std::size_t>(free)] != free)
+            free = next_[static_cast<std::size_t>(free)];
+        // Path compression: every cycle on the chain now points at the
+        // free cycle found (all of them lie below it and are full).
+        while (t < free && t < size) {
+            std::int64_t &link = next_[static_cast<std::size_t>(t)];
+            t = link;
+            link = free;
+        }
+        return free;
+    }
+
+    void
+    grow(std::size_t c)
+    {
+        const std::size_t old = used_.size();
+        const std::size_t size = std::max(c + 1, 2 * old);
+        used_.resize(size, 0);
+        next_.resize(size);
+        for (std::size_t k = old; k < size; ++k)
+            next_[k] = static_cast<std::int64_t>(k);
+    }
+
     int width_;
-    std::int64_t floor_ = 0;
-    std::unordered_map<std::int64_t, int> used_;
-    std::vector<std::int64_t> *starved_;
+    std::vector<int> used_; ///< instructions issued per cycle
+    /** next_[t] == t: cycle t has a free slot; else a later cycle to
+     *  search from. */
+    std::vector<std::int64_t> next_;
+    std::vector<Range> *starved_;
 };
 
 /** A mispredicted branch still inside the static window's reach. */
@@ -106,12 +148,11 @@ struct PendingMispredict
  */
 struct RunArena
 {
-    std::vector<std::int64_t> exec;
     std::vector<std::int64_t> fetchTree;
     std::vector<std::int64_t> rootTime;
     std::vector<std::int64_t> resolve;
     std::vector<std::uint8_t> fetchSide;
-    std::vector<std::int64_t> starvedCycles;
+    std::vector<IssueSlots::Range> starved;
 };
 
 /** Everything a forward-pass kernel reads and everything it must fill. */
@@ -122,6 +163,8 @@ struct ForwardCtx
     /** The trace's decode under config.latency (fast engine only). */
     const DecodedTrace &decoded;
     const std::vector<BranchPath> &paths;
+    const std::vector<StaticId> &branchSid;     ///< per path (prepared)
+    const std::vector<std::uint8_t> &backward;  ///< per path (prepared)
     const SpecTree &tree;
     const SimConfig &config;
     const std::vector<std::uint8_t> &correct; ///< per path; 1 if no branch
@@ -135,19 +178,22 @@ struct ForwardCtx
     bool hot;
     obs::Tracer &tracer;
     obs::SpeculationProfile &profile; ///< recordAssignment() target
-    /** Cycle-accounting ledger (non-null iff accounting): the kernels
-     *  record each instruction's issue cycle as it is computed — the
-     *  same values in the same trace order the epilogue's separate
-     *  sweep over exec[] produced, fused to avoid re-reading it. */
+    /** Per-cycle issue ledger (non-null iff accounting or issue
+     *  stats): the kernels record each instruction's issue cycle as it
+     *  is computed, in trace order. No per-instruction issue times are
+     *  kept: the ledger's per-cycle counts and rootTime are all the
+     *  epilogue needs. */
     obs::SlotLedger *ledger;
 
     // --- Outputs (the epilogue's inputs; arena-backed references) --------
-    std::vector<std::int64_t> &exec;      ///< issue cycle per instruction
     std::vector<std::int64_t> &fetchTree; ///< per path; kNeverFetched
-    std::vector<std::int64_t> &rootTime;  ///< num_paths + 1 entries
+    /** num_paths + 1 entries; rootTime[num_paths] bounds every
+     *  completion (exec + latency) of the run. */
+    std::vector<std::int64_t> &rootTime;
     std::vector<std::int64_t> &resolve;   ///< per path
     std::vector<std::uint8_t> &fetchSide; ///< per path iff profiling
-    std::vector<std::int64_t> &starvedCycles;
+    /** Resource-starvation waits (accounting with a PE limit only). */
+    std::vector<IssueSlots::Range> &starved;
     std::uint64_t sidePathFetches = 0;
 };
 

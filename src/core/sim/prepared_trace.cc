@@ -1,9 +1,12 @@
 #include "core/sim/prepared_trace.hh"
 
-#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 
+#include "common/invariant.hh"
 #include "common/logging.hh"
+#include "obs/accounting.hh"
 #include "obs/hotspot/hotspot.hh"
 #include "obs/registry.hh"
 #include "obs/timer.hh"
@@ -59,7 +62,8 @@ decodeTrace(const Trace &trace, const LatencyModel &latency)
     DecodedTrace out;
     out.instrs.resize(records.size());
     const DecodeTables tabs(latency);
-    std::size_t mem_ops = 0;
+    // Addresses are numbered in order of first use.
+    std::unordered_map<std::uint64_t, std::uint32_t> ids;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &rec = records[i];
         const auto op = static_cast<std::uint8_t>(rec.op);
@@ -69,14 +73,15 @@ decodeTrace(const Trace &trace, const LatencyModel &latency)
         d.src2 = srcSlot(rec.rs2);
         d.dst = dstSlot(rec.rd);
         d.mem = tabs.mem[op];
-        if (d.mem != 0)
-            ++mem_ops;
-    }
-    out.addrs.reserve(mem_ops);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (out.instrs[i].mem != 0) {
-            out.addrs.push_back(records[i].memAddr);
-            out.maxAddr = std::max(out.maxAddr, records[i].memAddr);
+        if (d.mem != 0) {
+            const auto [it, fresh] =
+                ids.try_emplace(rec.memAddr, out.numAddrs);
+            if (fresh) {
+                dee_assert(out.numAddrs < UINT32_MAX,
+                           "trace touches over 2^32 distinct addresses");
+                ++out.numAddrs;
+            }
+            out.addrIds.push_back(it->second);
         }
     }
     return out;
@@ -160,7 +165,8 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
     BranchOutcomes out;
     out.correct.assign(num_paths, 1);
     out.correctBits = BitVec64(num_paths);
-    out.confidence = ConfidenceEstimator(trace.numStatic);
+    ConfidenceEstimator confidence(trace.numStatic);
+    std::vector<StaticId> sids(num_paths, 0);
     // The 2-bit predictor (every figure cell) devirtualizes into one
     // inlined table access per branch.
     TwoBitPredictor *const twobit =
@@ -171,6 +177,7 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
             continue;
         }
         const TraceRecord &b = records[paths[k].branchIndex()];
+        sids[k] = b.sid;
         bool predicted;
         if (twobit != nullptr) {
             predicted = twobit->predictThenUpdate(b.sid, b.taken);
@@ -187,8 +194,17 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
             out.correctBits.set(k);
             ++out.accuracy.correct;
         }
-        out.confidence.record(b.sid, right);
+        confidence.record(b.sid, right);
         ++out.accuracy.branches;
+    }
+    // Squashed work is charged to the bucket of the branch's confidence
+    // at the end of the run.
+    out.squashBucket.assign(num_paths, 0);
+    for (std::size_t k = 0; k < num_paths; ++k) {
+        if (paths[k].endsInBranch) {
+            out.squashBucket[k] = static_cast<std::uint8_t>(
+                obs::confidenceBucket(confidence.estimate(sids[k])));
+        }
     }
     if (out.accuracy.branches > 0) {
         out.accuracy.accuracy =
@@ -222,10 +238,21 @@ PreparedTrace::of(const Trace &trace)
 PreparedTrace::PreparedTrace(const Trace &trace)
     : trace_(trace), paths_(segmentPaths(trace))
 {
-    ends_ = BitVec64(paths_.size());
-    for (std::size_t k = 0; k < paths_.size(); ++k)
-        if (paths_[k].endsInBranch)
+    const std::size_t num_paths = paths_.size();
+    ends_ = BitVec64(num_paths);
+    sids_.assign(num_paths, 0);
+    backward_.assign(num_paths, 0);
+    for (std::size_t k = 0; k < num_paths; ++k) {
+        if (paths_[k].endsInBranch) {
+            const TraceRecord &b = trace.records[paths_[k].branchIndex()];
+            // The fast kernel takes a path's last issue as its branch's.
+            DEE_INVARIANT(b.isBranch, "path ", k,
+                          " does not end in its branch");
             ends_.set(k);
+            sids_[k] = b.sid;
+            backward_[k] = b.backward ? 1 : 0;
+        }
+    }
 }
 
 const DecodedTrace &

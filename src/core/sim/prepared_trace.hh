@@ -6,9 +6,10 @@
  * Figure 5 sweeps seven window models x six E_T over each benchmark
  * trace, and step 1 of the static-tree heuristic measures the
  * predictor's characteristic accuracy p once per benchmark. Everything
- * a simulation derives from the trace alone — the branch paths, the
- * packed decoded instruction stream, the control-dependence join index
- * and the 2-bit predictor's outcomes — is therefore built on the first
+ * a simulation derives from the trace alone — the branch paths with
+ * each exit branch's static id and direction, the packed decoded
+ * instruction stream with compact address ids, the control-dependence
+ * join index and the 2-bit predictor's outcomes — is therefore built on the first
  * simulation that touches a Trace and shared, read-only, by every later
  * one, on any thread.
  *
@@ -55,7 +56,7 @@ constexpr std::size_t kNumSlots = kNumRegs + 2;
 
 /**
  * Packed decoded instruction: the fast kernels' entire working set per
- * instruction (plus DecodedTrace::addrs for memory ops).
+ * instruction (plus DecodedTrace::addrIds for memory ops).
  */
 struct DecodedInstr
 {
@@ -71,10 +72,15 @@ static_assert(sizeof(DecodedInstr) == 8, "issue loop wants 8B entries");
 struct DecodedTrace
 {
     std::vector<DecodedInstr> instrs; ///< one per record
-    /** Effective addresses of the memory ops only, in trace order: a
-     *  kernel walking the trace in order reads them with a cursor. */
-    std::vector<std::uint64_t> addrs;
-    std::uint64_t maxAddr = 0;
+    /**
+     * The memory ops' effective addresses as compact ids, in trace
+     * order: a kernel walking the trace in order reads them with a
+     * cursor. Ids number the trace's distinct addresses 0..numAddrs-1
+     * in order of first use, so per-address state is one dense array
+     * whatever the address values are.
+     */
+    std::vector<std::uint32_t> addrIds;
+    std::uint32_t numAddrs = 0; ///< distinct addresses the trace touches
 
     /** Completion latency of record @p i: the per-run cache-model
      *  load latency when given, else the decoded class latency. */
@@ -94,16 +100,18 @@ struct BranchOutcomes
     std::vector<std::uint8_t> correct; ///< per path; 1 if no branch
     BitVec64 correctBits;              ///< the same set, packed
     AccuracyReport accuracy;           ///< branches, correct, fraction
-    /** Per-branch confidence after the last branch (the epilogue's
-     *  squash-bucket source). */
-    ConfidenceEstimator confidence{0};
+    /** Per path: the obs::confidenceBucket of its branch's confidence
+     *  after the last branch, which the epilogue charges squashed work
+     *  to (0 for a path without a branch). */
+    std::vector<std::uint8_t> squashBucket;
     /** 2-bit counter table after the last branch (cached entries). */
     std::vector<std::uint8_t> finalCounters;
 };
 
 /**
  * The simulator's predictor pass: runs @p predictor over the branch
- * paths in order (predict, then update) and records each outcome.
+ * paths in order (predict, then update) and records each outcome and
+ * each branch's squash confidence bucket.
  */
 BranchOutcomes predictOutcomes(const Trace &trace,
                                const std::vector<BranchPath> &paths,
@@ -131,6 +139,13 @@ class PreparedTrace
     /** endsInBranch per path, packed. */
     const BitVec64 &ends() const { return ends_; }
 
+    /** Static id of each path's exit branch (0 for a path without
+     *  one). */
+    const std::vector<StaticId> &branchSids() const { return sids_; }
+
+    /** Whether each path's exit branch is backward (a loop latch). */
+    const std::vector<std::uint8_t> &backward() const { return backward_; }
+
     /** The decoded stream under @p latency. */
     const DecodedTrace &decode(const LatencyModel &latency) const;
 
@@ -150,6 +165,8 @@ class PreparedTrace
     const Trace &trace_;
     std::vector<BranchPath> paths_;
     BitVec64 ends_;
+    std::vector<StaticId> sids_;
+    std::vector<std::uint8_t> backward_;
 
     mutable std::mutex mutex_;
     /** Keyed by (intAlu, load, store, branch, other); guarded. */

@@ -141,8 +141,7 @@ referenceForward(ForwardCtx &ctx)
     const std::vector<std::uint8_t> &correct = ctx.correct;
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
 
-    std::vector<std::int64_t> &exec = ctx.exec;
-    exec.assign(n, 0);
+    std::vector<std::int64_t> exec(n, 0);
     std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
     fetch_tree.assign(num_paths, kNeverFetched);
     std::vector<std::int64_t> &root_time = ctx.rootTime;
@@ -168,9 +167,8 @@ referenceForward(ForwardCtx &ctx)
     std::deque<PendingMispredict> window_mispredicts;
     std::int64_t last_resolve = -1;
     IssueSlots slots(config.peLimit,
-                     accounting && config.peLimit > 0
-                         ? &ctx.starvedCycles
-                         : nullptr);
+                     accounting && config.peLimit > 0 ? &ctx.starved
+                                                      : nullptr);
 
     // Effective completion latency of a dynamic instruction (cache-
     // model load latencies override the class latency when provided).
@@ -421,6 +419,18 @@ referenceForward(ForwardCtx &ctx)
                            correct[r] ? std::int64_t{0}
                                       : std::int64_t{1});
     }
+
+#if DEE_INVARIANTS_ENABLED
+    // run() takes the root's last move as the run's cycle count, so no
+    // instruction may complete after it (each path's completions feed
+    // its own tree move).
+    std::int64_t last_done = 0;
+    for (DynIndex i = 0; i < n; ++i)
+        last_done = std::max(last_done, exec[i] + lat_of(i));
+    DEE_INVARIANT(last_done <= root_time[num_paths], "instruction done at ",
+                  last_done, " after the last root move at ",
+                  root_time[num_paths]);
+#endif
 }
 
 } // namespace sim_detail
@@ -457,6 +467,7 @@ WindowSim::run(BranchPredictor &predictor) const
     const PreparedTrace &prep = PreparedTrace::of(trace_);
     const std::vector<BranchPath> &paths = prep.paths();
     const BitVec64 &ends = prep.ends();
+    const std::vector<StaticId> &sids = prep.branchSids();
     const std::uint64_t num_paths = paths.size();
     // Static-window reach for route B: the machine holds E_T branch
     // paths of static code regardless of how the tree allocates them
@@ -499,18 +510,19 @@ WindowSim::run(BranchPredictor &predictor) const
             // instance resolved, before its outcome updates the meter.
             ConfidenceEstimator online(trace_.numStatic);
             ends.forEachSet([&](std::size_t k) {
-                const TraceRecord &b = records[paths[k].branchIndex()];
+                const StaticId sid = sids[k];
                 const bool right = outcomes->correct[k] != 0;
                 profile.recordExecution(
-                    b.sid, static_cast<std::int64_t>(b.block), !right,
-                    obs::confidenceBucket(online.estimate(b.sid)));
-                online.record(b.sid, right);
+                    sid,
+                    static_cast<std::int64_t>(
+                        records[paths[k].branchIndex()].block),
+                    !right, obs::confidenceBucket(online.estimate(sid)));
+                online.record(sid, right);
             });
         }
     }
     const std::vector<std::uint8_t> &correct = outcomes->correct;
     const BitVec64 &correct_bits = outcomes->correctBits;
-    const ConfidenceEstimator &confidence_meter = outcomes->confidence;
     result.branches = outcomes->accuracy.branches;
     result.mispredicted =
         outcomes->accuracy.branches - outcomes->accuracy.correct;
@@ -528,12 +540,12 @@ WindowSim::run(BranchPredictor &predictor) const
     const DecodedTrace &decoded = prep.decode(config_.latency);
 
     // --- Forward pass over branch paths ----------------------------------
-    // The accounting ledger outlives the kernel: issue cycles are
-    // recorded inline as the kernel computes them (same values, same
-    // trace order as the old post-pass over exec[]), and the epilogue
-    // adds the stall marks and finalizes.
+    // The ledger outlives the kernel: issue cycles are recorded inline
+    // as the kernel computes them, and the epilogue reads the per-cycle
+    // counts (peak issue) and, when accounting, adds the stall marks
+    // and finalizes.
     std::optional<obs::SlotLedger> ledger;
-    if (accounting) {
+    if (accounting || config_.gatherIssueStats) {
         ledger.emplace(config_.peLimit > 0
                            ? static_cast<std::uint64_t>(config_.peLimit)
                            : 0,
@@ -543,6 +555,8 @@ WindowSim::run(BranchPredictor &predictor) const
         .trace = trace_,
         .decoded = decoded,
         .paths = paths,
+        .branchSid = sids,
+        .backward = prep.backward(),
         .tree = tree_,
         .config = config_,
         .correct = correct,
@@ -557,22 +571,20 @@ WindowSim::run(BranchPredictor &predictor) const
         .tracer = tracer,
         .profile = profile,
         .ledger = ledger.has_value() ? &*ledger : nullptr,
-        .exec = arena.exec,
         .fetchTree = arena.fetchTree,
         .rootTime = arena.rootTime,
         .resolve = arena.resolve,
         .fetchSide = arena.fetchSide,
-        .starvedCycles = arena.starvedCycles,
+        .starved = arena.starved,
         .sidePathFetches = 0,
     };
     // The kernels assign() the sized outputs; the append-only one must
     // start empty so nothing leaks across arena reuse.
-    arena.starvedCycles.clear();
+    arena.starved.clear();
     if (config_.engine == Engine::Reference)
         sim_detail::referenceForward(ctx);
     else
         sim_detail::fastForward(ctx);
-    const std::vector<std::int64_t> &exec = ctx.exec;
     const std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
     const std::vector<std::int64_t> &root_time = ctx.rootTime;
     const std::vector<std::int64_t> &resolve = ctx.resolve;
@@ -584,34 +596,26 @@ WindowSim::run(BranchPredictor &predictor) const
     mispredict_paths.andNotWith(correct_bits);
 
     // --- Totals -----------------------------------------------------------
-    std::int64_t last_cycle = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        last_cycle = std::max<std::int64_t>(
-            last_cycle,
-            exec[i] + decoded.latency(i, config_.loadLatencies));
-    }
-    if (config_.gatherIssueStats) {
-        std::unordered_map<std::int64_t, std::uint32_t> per_cycle;
-        per_cycle.reserve(n / 4);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint32_t count = ++per_cycle[exec[i]];
+    // Each path's tree move waits for all of its instructions to
+    // complete, so the root's last move is the run's last cycle (the
+    // reference kernel checks this bound).
+    const std::int64_t last_cycle = root_time[num_paths];
+    if (config_.gatherIssueStats && ledger->active()) {
+        const std::vector<std::uint32_t> &per_cycle =
+            ledger->issuedPerCycle();
+        for (std::size_t c = 0; c < per_cycle.size(); ++c) {
+            const std::uint32_t count = per_cycle[c];
+            if (count == 0)
+                continue;
             result.peakIssue =
                 std::max<std::uint64_t>(result.peakIssue, count);
-        }
-        if (tracing) {
             // PE-issue occupancy as Chrome counter events, in cycle
             // order so the track renders as a timeline.
-            std::vector<std::pair<std::int64_t, std::uint32_t>> cycles(
-                per_cycle.begin(), per_cycle.end());
-            std::sort(cycles.begin(), cycles.end());
-            for (const auto &[cycle, count] : cycles) {
-                dee_trace_event_if(tracing, tracer, "sim.issue_occupancy", 'C',
-                                cycle, "value",
-                                static_cast<std::int64_t>(count));
-            }
+            dee_trace_event_if(tracing, tracer, "sim.issue_occupancy", 'C',
+                               static_cast<std::int64_t>(c), "value",
+                               static_cast<std::int64_t>(count));
         }
     }
-    last_cycle = std::max(last_cycle, root_time[num_paths]);
     result.cycles = static_cast<std::uint64_t>(last_cycle);
     result.speedup = static_cast<double>(n) /
                      static_cast<double>(std::max<std::int64_t>(
@@ -644,19 +648,25 @@ WindowSim::run(BranchPredictor &predictor) const
             // steered fetch from there) until resolution plus the
             // repair penalty; spare slots in that span are squashed
             // work, charged to the branch's confidence bucket.
-            const TraceRecord &b = records[paths[m].branchIndex()];
             const std::int64_t begin =
                 fetch_tree[m] == sim_detail::kNeverFetched
                     ? root_time[m]
                     : fetch_tree[m];
             ledger->mark(obs::SlotClass::SquashedSpec, begin,
                          resolve[m] + penalty,
-                         obs::confidenceBucket(
-                             confidence_meter.estimate(b.sid)),
-                         b.sid);
+                         outcomes->squashBucket[m], sids[m]);
         });
-        for (const std::int64_t t : ctx.starvedCycles)
-            ledger->mark(obs::SlotClass::ResourceStarved, t, t + 1);
+        // Starvation waits overlap (many instructions skip the same
+        // full cycles); merge them so each cycle is marked once.
+        std::vector<sim_detail::IssueSlots::Range> &starved = ctx.starved;
+        std::sort(starved.begin(), starved.end());
+        for (std::size_t k = 0; k < starved.size();) {
+            const std::int64_t begin = starved[k].first;
+            std::int64_t end = starved[k].second;
+            for (++k; k < starved.size() && starved[k].first <= end; ++k)
+                end = std::max(end, starved[k].second);
+            ledger->mark(obs::SlotClass::ResourceStarved, begin, end);
+        }
         std::unordered_map<std::uint32_t, std::uint64_t> squash_by_site;
         result.account =
             ledger->finalize(result.cycles,
@@ -669,12 +679,11 @@ WindowSim::run(BranchPredictor &predictor) const
     // --- Speculation profile: latency, residency, loops, identity --------
     if (profiling) {
         ends.forEachSet([&](std::size_t k) {
-            const TraceRecord &b = records[paths[k].branchIndex()];
             const std::int64_t begin =
                 fetch_tree[k] == sim_detail::kNeverFetched
                     ? root_time[k]
                     : fetch_tree[k];
-            profile.recordResolveLatency(b.sid, resolve[k] - begin);
+            profile.recordResolveLatency(sids[k], resolve[k] - begin);
             // The successor path's fetched residency hangs off this
             // branch: DEE-slot cycles when it was held via a
             // not-predicted edge, mainline cycles otherwise.
@@ -684,7 +693,7 @@ WindowSim::run(BranchPredictor &predictor) const
                     resolve[k + 1] - fetch_tree[k + 1];
                 if (span > 0) {
                     profile.addResidency(
-                        b.sid, static_cast<std::uint64_t>(span),
+                        sids[k], static_cast<std::uint64_t>(span),
                         fetch_side[k + 1] != 0);
                 }
             }

@@ -103,7 +103,9 @@ struct SimConfig
     /** Gather the where-do-mispredictions-resolve histogram (E6). */
     bool gatherResolveStats = false;
     /** Measure per-cycle issue counts (peak busy PEs — the paper's
-     *  "<200 PEs at 100 branch paths" estimate). */
+     *  "<200 PEs at 100 branch paths" estimate). The counts are the
+     *  issue ledger's (obs::SlotLedger), so a run longer than
+     *  SlotLedger::kMaxCycles reports no peak. */
     bool gatherIssueStats = false;
     /**
      * Classify every issue-slot-cycle of the run into the closed
@@ -212,7 +214,8 @@ struct SimResult
     std::uint64_t sidePathFetches = 0;
 
     /** Most instructions issued in any single cycle (peak busy PEs);
-     *  only filled when gatherIssueStats. The mean is `speedup`. */
+     *  only filled when gatherIssueStats (and the run fit the issue
+     *  ledger). The mean is `speedup`. */
     std::uint64_t peakIssue = 0;
 
     /** Closed slot-cycle account (valid() iff gatherAccounting was on

@@ -48,6 +48,7 @@
 #ifndef DEE_OBS_ACCOUNTING_HH
 #define DEE_OBS_ACCOUNTING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -268,6 +269,17 @@ class SlotLedger
         std::unordered_map<std::uint32_t, std::uint64_t>
             *squash_by_site = nullptr);
 
+    /**
+     * Instructions issued per cycle so far, indexed by cycle. Cycles
+     * past the last issue read 0 (the buffer grows geometrically, so
+     * it may run past the last cycle touched). Meaningful only while
+     * active().
+     */
+    const std::vector<std::uint32_t> &issuedPerCycle() const
+    {
+        return issued_;
+    }
+
   private:
     bool
     ensure(std::int64_t cycle)
@@ -278,9 +290,14 @@ class SlotLedger
         if (c >= kMaxCycles)
             return active_ = false;
         if (c >= issued_.size()) {
-            issued_.resize(c + 1, 0);
-            marks_.resize(c + 1, 0);
-            owner_.resize(c + 1, kNoSite);
+            // Doubling keeps growth amortized O(1) per cycle; finalize()
+            // trims the zero tail back to the run's cycle count.
+            const std::uint64_t size = std::min<std::uint64_t>(
+                std::max<std::uint64_t>(c + 1, 2 * issued_.size()),
+                kMaxCycles);
+            issued_.resize(size, 0);
+            marks_.resize(size, 0);
+            owner_.resize(size, kNoSite);
         }
         return true;
     }
