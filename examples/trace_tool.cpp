@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bpred/bpred.hh"
 #include "common/logging.hh"
@@ -40,17 +41,35 @@ doCapture(const dee::Cli &cli)
         dee::makeWorkload(id, static_cast<int>(cli.integer("scale")));
     dee::Interpreter interp(program);
     const dee::ExecResult run = interp.run(100'000'000);
-    dee::writeTrace(run.trace, cli.str("file"));
+    std::string err;
+    if (!dee::writeTrace(run.trace, cli.str("file"), &err)) {
+        std::fprintf(stderr, "trace_tool: %s\n", err.c_str());
+        return 2;
+    }
     std::printf("captured %zu instructions of %s to %s\n",
                 run.trace.size(), dee::workloadName(id),
                 cli.str("file").c_str());
     return 0;
 }
 
+/** Reads --file into *trace; prints the error and returns false if it
+ *  cannot be read. */
+bool
+loadTrace(const dee::Cli &cli, dee::Trace *trace)
+{
+    std::string err;
+    if (dee::readTrace(cli.str("file"), trace, &err))
+        return true;
+    std::fprintf(stderr, "trace_tool: %s\n", err.c_str());
+    return false;
+}
+
 int
 doInfo(const dee::Cli &cli)
 {
-    const dee::Trace trace = dee::readTrace(cli.str("file"));
+    dee::Trace trace;
+    if (!loadTrace(cli, &trace))
+        return 2;
     const dee::TraceStats stats = dee::computeStats(trace);
     std::printf("%s\n", stats.render().c_str());
 
@@ -69,7 +88,9 @@ doInfo(const dee::Cli &cli)
 int
 doReplay(const dee::Cli &cli)
 {
-    const dee::Trace trace = dee::readTrace(cli.str("file"));
+    dee::Trace trace;
+    if (!loadTrace(cli, &trace))
+        return 2;
     const int e_t = static_cast<int>(cli.integer("et"));
 
     // No Program is available for a bare trace file, so the CD models

@@ -92,7 +92,6 @@ struct FastScratch
     std::vector<std::uint64_t> crossed;
     std::vector<std::pair<DynIndex, std::int64_t>> nd;
     std::vector<std::int64_t> ndSuffix;
-    std::vector<std::uint64_t> nm; ///< next-uncrossable-path index
     WalkPlan plan;
     /** Last-store completion time per address id; 0 means "no prior
      *  store", the identity for the dataflow max. */
@@ -123,7 +122,9 @@ fastForward(ForwardCtx &ctx)
     const std::vector<std::uint8_t> &correct = ctx.correct;
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
     obs::SlotLedger *const ledger = ctx.ledger;
-    const int branch_lat = config.latency.of(OpClass::CondBranch);
+    const LatencyTable lat_of = latencyTable(config.latency);
+    const std::int32_t branch_lat =
+        lat_of[static_cast<std::size_t>(OpClass::CondBranch)];
 
     // --- The prepared SoA stream; loads may take per-run latencies ------
     const std::vector<DecodedInstr> &dec = ctx.decoded.instrs;
@@ -190,17 +191,10 @@ fastForward(ForwardCtx &ctx)
         buildWalkPlan(flat, plan);
     else
         plan.closedForm = false;
-    std::vector<std::uint64_t> &nm = scratch.nm;
+    // nm[k]: first path >= k the walk cannot step across (not a
+    // branch, or mispredicted); it depends only on the outcomes.
+    const std::vector<std::uint32_t> &nm = ctx.nextUncrossable;
     std::uint64_t frontier = 0; ///< fetched set is exactly [0, frontier]
-    if (plan.closedForm) {
-        // nm[k]: first path >= k the walk cannot step across (not a
-        // branch, or mispredicted).
-        nm.assign(num_paths + 1, num_paths);
-        for (std::uint64_t k = num_paths; k-- > 0;) {
-            nm[k] =
-                (paths[k].endsInBranch && correct[k]) ? nm[k + 1] : k;
-        }
-    }
 
     for (std::uint64_t r = 0; r < num_paths; ++r) {
         const std::int64_t now = root_time[r];
@@ -296,7 +290,8 @@ fastForward(ForwardCtx &ctx)
                 const std::size_t dc = j - r;
                 const std::uint64_t slen = plan.sideLen[dc];
                 const std::uint64_t hi_s =
-                    std::min({j + slen, nm[j + 1], num_paths - 1});
+                    std::min({j + slen, std::uint64_t{nm[j + 1]},
+                              num_paths - 1});
                 for (std::uint64_t x = std::max(j + 1, frontier + 1);
                      x <= hi_s; ++x) {
                     fetch_tree[x] = now;
@@ -468,14 +463,15 @@ fastForward(ForwardCtx &ctx)
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
-                    std::int32_t lat = d.lat;
+                    std::int32_t lat =
+                        lat_of[static_cast<std::size_t>(d.cls)];
                     std::uint32_t addr = 0;
-                    if (d.mem != 0) {
+                    if (accessesMemory(d.cls)) {
                         addr = addr_ids[mem_cursor++];
                         const std::int64_t am = mem[addr];
                         if (am > data_ready)
                             data_ready = am;
-                        if (d.mem == 1 && load_lat != nullptr)
+                        if (d.cls == OpClass::Load && load_lat != nullptr)
                             lat = load_lat[i];
                     }
 
@@ -509,7 +505,7 @@ fastForward(ForwardCtx &ctx)
                     // Availability updates (flow-only renaming; stores
                     // publish the last-store completion per address).
                     reg_avail[d.dst] = fin;
-                    if (d.mem == 2)
+                    if (d.cls == OpClass::Store)
                         mem[addr] = fin;
                 }
             } else {
@@ -520,14 +516,15 @@ fastForward(ForwardCtx &ctx)
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
-                    std::int32_t lat = d.lat;
+                    std::int32_t lat =
+                        lat_of[static_cast<std::size_t>(d.cls)];
                     std::uint32_t addr = 0;
-                    if (d.mem != 0) {
+                    if (accessesMemory(d.cls)) {
                         addr = addr_ids[mem_cursor++];
                         const std::int64_t am = mem[addr];
                         if (am > data_ready)
                             data_ready = am;
-                        if (d.mem == 1 && load_lat != nullptr)
+                        if (d.cls == OpClass::Load && load_lat != nullptr)
                             lat = load_lat[i];
                     }
 
@@ -543,7 +540,7 @@ fastForward(ForwardCtx &ctx)
                         done = fin;
 
                     reg_avail[d.dst] = fin;
-                    if (d.mem == 2)
+                    if (d.cls == OpClass::Store)
                         mem[addr] = fin;
                 }
             }
@@ -599,7 +596,7 @@ fastForward(ForwardCtx &ctx)
 }
 
 std::int64_t
-fastOracle(const DecodedTrace &decoded,
+fastOracle(const DecodedTrace &decoded, const LatencyTable &latency,
            const std::vector<int> *load_latencies, obs::SlotLedger *ledger)
 {
     static thread_local std::vector<std::int64_t> mem;
@@ -618,19 +615,20 @@ fastOracle(const DecodedTrace &decoded,
         if (a2 > ready)
             ready = a2;
         std::uint32_t addr = 0;
-        if (d.mem != 0) {
+        if (accessesMemory(d.cls)) {
             addr = addr_ids[mem_cursor++];
             const std::int64_t am = mem[addr];
             if (am > ready)
                 ready = am;
         }
 
-        const std::int64_t fin = ready + decoded.latency(i, load_latencies);
+        const std::int64_t fin =
+            ready + decoded.latency(i, latency, load_latencies);
         if (fin > last)
             last = fin;
 
         reg_avail[d.dst] = fin;
-        if (d.mem == 2)
+        if (d.cls == OpClass::Store)
             mem[addr] = fin;
 
         if (ledger != nullptr)

@@ -5,8 +5,9 @@
  * Same semantics as the seed engine, restructured for the host machine:
  *
  *  - Read the trace's prepared packed instruction stream
- *    (core/sim/prepared_trace.hh), so the issue loop touches 8-byte
- *    decoded entries instead of 40-byte trace records and never calls
+ *    (core/sim/prepared_trace.hh), so the issue loop touches 4-byte
+ *    decoded entries instead of 24-byte trace records and reads each
+ *    class's latency from a per-run 8-entry table instead of calling
  *    opClass()/LatencyModel::of().
  *  - Register dataflow through a flat availability table (completion
  *    time of the last writer per architectural register, with an
@@ -47,12 +48,13 @@ namespace dee::sim_detail
 
 /**
  * Dataflow sweep for oracleSim()'s fast engine over the prepared
- * decode: returns the dataflow-limit completion horizon and, when
+ * decode under the class latencies @p latency: returns the dataflow-limit completion horizon and, when
  * @p ledger is non-null, issues each instruction's ready cycle into it
  * in trace order — the same evidence the reference engine's separate
  * second pass produces.
  */
 std::int64_t fastOracle(const DecodedTrace &decoded,
+                        const LatencyTable &latency,
                         const std::vector<int> *load_latencies,
                         obs::SlotLedger *ledger);
 

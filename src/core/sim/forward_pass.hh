@@ -160,7 +160,7 @@ struct ForwardCtx
 {
     // --- Inputs (borrowed from WindowSim::run) ---------------------------
     const Trace &trace;
-    /** The trace's decode under config.latency (fast engine only). */
+    /** The trace's decode (fast engine only). */
     const DecodedTrace &decoded;
     const std::vector<BranchPath> &paths;
     const std::vector<StaticId> &branchSid;     ///< per path (prepared)
@@ -169,6 +169,8 @@ struct ForwardCtx
     const SimConfig &config;
     const std::vector<std::uint8_t> &correct; ///< per path; 1 if no branch
     const BitVec64 &correctBits;              ///< same set, packed
+    /** First uncrossable path per path (BranchOutcomes). */
+    const std::vector<std::uint32_t> &nextUncrossable;
     const BitVec64 &ends;                     ///< endsInBranch per path
     const std::vector<DynIndex> &joinIdx;     ///< empty unless CD
     int windowReach;

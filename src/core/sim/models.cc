@@ -108,6 +108,12 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
             : options.profileWorkload + "." + modelName(kind);
     obs::perf::ThroughputMeter meter(scope);
 
+    // The first run over a trace prepares it; with the Cfg at hand the
+    // join index comes out of the same sweep. The reference Oracle
+    // reads only the records.
+    if (kind != ModelKind::Oracle || options.engine == Engine::Fast)
+        (void)PreparedTrace::of(trace, cfg);
+
     if (kind == ModelKind::Oracle) {
         SimResult result =
             oracleSim(trace, options.latency, options.loadLatencies,

@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
-#include "common/invariant.hh"
 #include "common/logging.hh"
 #include "obs/accounting.hh"
 #include "obs/hotspot/hotspot.hh"
@@ -33,58 +32,234 @@ dstSlot(RegId r)
                : r;
 }
 
-/**
- * Per-opcode decode tables: latency and memory class resolved by two
- * array loads instead of a per-record class switch. Values follow
- * LatencyModel::of() exactly.
- */
-struct DecodeTables
-{
-    std::array<std::int32_t, 256> lat;
-    std::array<std::uint8_t, 256> mem; ///< 0 none, 1 load, 2 store
+/** OpClass of every opcode byte, so the sweep classifies a record
+ *  with one load instead of opClass()'s switch. */
+constexpr std::array<OpClass, 256> kClassOf = [] {
+    std::array<OpClass, 256> table{};
+    for (std::size_t k = 0; k < table.size(); ++k)
+        table[k] = opClass(static_cast<Opcode>(k));
+    return table;
+}();
 
-    explicit DecodeTables(const LatencyModel &lm)
+/**
+ * Numbers distinct addresses 0, 1, 2, ... in order of first use: an
+ * open-addressing table (linear probing, power-of-two size, at most
+ * half full) over a Fibonacci hash of the address.
+ */
+class AddressIds
+{
+  public:
+    AddressIds() { resize(kInitialBits); }
+
+    /** Distinct addresses numbered so far. */
+    std::uint32_t size() const { return size_; }
+
+    /** @p addr's id, numbering it next if it is new. */
+    std::uint32_t
+    idOf(std::uint64_t addr)
     {
-        for (std::size_t k = 0; k < 256; ++k) {
-            const OpClass cls = opClass(static_cast<Opcode>(k));
-            lat[k] = lm.of(cls);
-            mem[k] = cls == OpClass::Load    ? 1
-                     : cls == OpClass::Store ? 2
-                                             : 0;
+        for (std::size_t h = home(addr);; h = (h + 1) & mask_) {
+            Slot &slot = slots_[h];
+            if (slot.id == kEmpty)
+                return insert(slot, addr);
+            if (slot.addr == addr)
+                return slot.id;
         }
     }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t addr;
+        std::uint32_t id;
+    };
+    static constexpr std::uint32_t kEmpty = UINT32_MAX;
+    static constexpr unsigned kInitialBits = 10; ///< 1024 slots
+
+    std::size_t
+    home(std::uint64_t addr) const
+    {
+        return static_cast<std::size_t>(
+            (addr * 0x9e3779b97f4a7c15ULL) >> (64 - bits_));
+    }
+
+    std::uint32_t
+    insert(Slot &slot, std::uint64_t addr)
+    {
+        dee_assert(size_ < kEmpty,
+                   "trace touches over 2^32 distinct addresses");
+        slot = Slot{addr, size_};
+        ++size_;
+        if (2 * static_cast<std::size_t>(size_) > slots_.size()) {
+            std::vector<Slot> old = std::move(slots_);
+            resize(bits_ + 1);
+            for (const Slot &s : old) {
+                if (s.id == kEmpty)
+                    continue;
+                std::size_t h = home(s.addr);
+                while (slots_[h].id != kEmpty)
+                    h = (h + 1) & mask_;
+                slots_[h] = s;
+            }
+        }
+        return size_ - 1;
+    }
+
+    void
+    resize(unsigned bits)
+    {
+        slots_.assign(std::size_t{1} << bits, Slot{0, kEmpty});
+        mask_ = slots_.size() - 1;
+        bits_ = bits;
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    unsigned bits_ = 0;
+    std::uint32_t size_ = 0;
 };
 
-DecodedTrace
-decodeTrace(const Trace &trace, const LatencyModel &latency)
+/**
+ * The join index, built forward: the branch ending each path waits on
+ * its block's immediate postdominator, and the first later record in
+ * that block is the join of every branch waiting there. A block's
+ * waiters are a list threaded through their own join entries until the
+ * block shows up; branches still waiting at the end never join (trace
+ * size).
+ */
+class JoinSweep
 {
-    const auto &records = trace.records;
-    DecodedTrace out;
-    out.instrs.resize(records.size());
-    const DecodeTables tabs(latency);
-    // Addresses are numbered in order of first use.
-    std::unordered_map<std::uint64_t, std::uint32_t> ids;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const TraceRecord &rec = records[i];
-        const auto op = static_cast<std::uint8_t>(rec.op);
-        DecodedInstr &d = out.instrs[i];
-        d.lat = tabs.lat[op];
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.mem = tabs.mem[op];
-        if (d.mem != 0) {
-            const auto [it, fresh] =
-                ids.try_emplace(rec.memAddr, out.numAddrs);
-            if (fresh) {
-                dee_assert(out.numAddrs < UINT32_MAX,
-                           "trace touches over 2^32 distinct addresses");
-                ++out.numAddrs;
-            }
-            out.addrIds.push_back(it->second);
+  public:
+    JoinSweep(const Cfg &cfg, DynIndex size)
+        : cfg_(cfg), size_(size), waiting_(cfg.numBlocks() + 1, kNone)
+    {
+    }
+
+    /** Record @p i lies in @p block: the join of its waiters. (A block
+     *  the graph does not know has none.) */
+    void
+    visit(DynIndex i, BlockId block)
+    {
+        if (block < waiting_.size() && waiting_[block] != kNone)
+            resolve(waiting_[block], i);
+    }
+
+    /** The next path ends in a branch in @p block (call after visiting
+     *  the branch: a branch's block never joins at itself). */
+    void
+    branchPath(BlockId block)
+    {
+        const BlockId ipdom = cfg_.ipostdom(block);
+        if (ipdom < cfg_.numBlocks()) {
+            join_.push_back(waiting_[ipdom]);
+            waiting_[ipdom] = join_.size() - 1;
+        } else {
+            join_.push_back(size_);
         }
     }
-    return out;
+
+    /** The next path is the trace's last and ends without a branch. */
+    void lastPath() { join_.push_back(size_); }
+
+    /** The index: one entry per path. */
+    std::vector<DynIndex>
+    finish() &&
+    {
+        for (std::uint64_t &head : waiting_)
+            resolve(head, size_);
+        return std::move(join_);
+    }
+
+  private:
+    static constexpr std::uint64_t kNone = UINT64_MAX;
+
+    /** Sets the join of every waiter on the list at @p head to @p at
+     *  and empties the list. */
+    void
+    resolve(std::uint64_t &head, DynIndex at)
+    {
+        for (std::uint64_t k = head; k != kNone;) {
+            const std::uint64_t next = join_[k];
+            join_[k] = at;
+            k = next;
+        }
+        head = kNone;
+    }
+
+    const Cfg &cfg_;
+    DynIndex size_;
+    /** Per block: the last path waiting on it, or kNone. */
+    std::vector<std::uint64_t> waiting_;
+    /** Per path: its join once known, else the next waiter. */
+    std::vector<DynIndex> join_;
+};
+
+/** The join sink of a sweep without a Cfg. */
+struct NoJoin
+{
+    void visit(DynIndex, BlockId) {}
+    void branchPath(BlockId) {}
+    void lastPath() {}
+};
+
+/**
+ * The one forward sweep over @p trace's records: branch paths with
+ * their exit branches' static ids, backward flags and directions, the
+ * decode with address ids, and whatever @p join collects.
+ */
+template <typename Join>
+void
+sweepRecords(const Trace &trace, Join &join, std::vector<BranchPath> &paths,
+             std::vector<StaticId> &sids, std::vector<std::uint8_t> &backward,
+             std::vector<std::uint8_t> &taken, DecodedTrace &decoded)
+{
+    const auto &records = trace.records;
+    const DynIndex n = records.size();
+    decoded.instrs.reserve(n);
+    AddressIds ids;
+    DynIndex begin = 0;
+    for (DynIndex i = 0; i < n; ++i) {
+        const TraceRecord &rec = records[i];
+        const OpClass cls = kClassOf[static_cast<std::uint8_t>(rec.op)];
+        decoded.instrs.push_back(DecodedInstr{
+            cls, srcSlot(rec.rs1), srcSlot(rec.rs2), dstSlot(rec.rd)});
+        if (accessesMemory(cls))
+            decoded.addrIds.push_back(ids.idOf(rec.memAddr));
+        join.visit(i, rec.block);
+        if (rec.isBranch) {
+            paths.push_back(BranchPath{begin, i + 1, true});
+            sids.push_back(rec.sid);
+            backward.push_back(rec.backward ? 1 : 0);
+            taken.push_back(rec.taken ? 1 : 0);
+            join.branchPath(rec.block);
+            begin = i + 1;
+        }
+    }
+    if (begin < n) {
+        paths.push_back(BranchPath{begin, n, false});
+        sids.push_back(0);
+        backward.push_back(0);
+        taken.push_back(0);
+        join.lastPath();
+    }
+    decoded.numAddrs = ids.size();
+}
+
+/** The join index of @p trace (whose paths end with a branch-less one
+ *  iff @p trailing_path) under a Cfg its sweep did not have. */
+std::vector<DynIndex>
+joinIndexOf(const Trace &trace, const Cfg &cfg, bool trailing_path)
+{
+    const auto &records = trace.records;
+    JoinSweep join(cfg, records.size());
+    for (DynIndex i = 0; i < records.size(); ++i) {
+        join.visit(i, records[i].block);
+        if (records[i].isBranch)
+            join.branchPath(records[i].block);
+    }
+    if (trailing_path)
+        join.lastPath();
+    return std::move(join).finish();
 }
 
 /** Runs one first-touch build: sampled as the prepare phase, timed
@@ -126,47 +301,29 @@ lookupOrBuild(std::mutex &mutex, Map &map,
     return it->second;
 }
 
-/**
- * Join index over @p paths: one backward sweep in which next_occ[b] is
- * the first dynamic index of block b strictly after the sweep cursor,
- * so each branch reads its join point in O(1). Paths are pushed after
- * their own branch is queried — a branch's block never joins at
- * itself.
- */
-std::vector<DynIndex>
-joinIndexOf(const Trace &trace, const std::vector<BranchPath> &paths,
-            const Cfg &cfg)
-{
-    const auto &records = trace.records;
-    const DynIndex n = records.size();
-    std::vector<DynIndex> join(paths.size(), n);
-    std::vector<DynIndex> next_occ(cfg.numBlocks() + 1, n);
-    for (std::size_t k = paths.size(); k-- > 0;) {
-        if (paths[k].endsInBranch) {
-            const BlockId ipdom =
-                cfg.ipostdom(records[paths[k].branchIndex()].block);
-            if (ipdom < cfg.numBlocks())
-                join[k] = next_occ[ipdom];
-        }
-        for (DynIndex i = paths[k].end; i-- > paths[k].begin;)
-            next_occ[records[i].block] = i;
-    }
-    return join;
-}
-
 } // namespace
 
-BranchOutcomes
-predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
-                BranchPredictor &predictor)
+LatencyTable
+latencyTable(const LatencyModel &latency)
 {
-    const auto &records = trace.records;
+    LatencyTable table{};
+    for (std::size_t c = 0; c < table.size(); ++c)
+        table[c] = latency.of(static_cast<OpClass>(c));
+    return table;
+}
+
+BranchOutcomes
+predictOutcomes(const PreparedTrace &prepared, BranchPredictor &predictor)
+{
+    const std::vector<BranchPath> &paths = prepared.paths();
+    const std::vector<StaticId> &sids = prepared.branchSids();
+    const std::vector<std::uint8_t> &taken = prepared.taken();
     const std::size_t num_paths = paths.size();
+    dee_assert(num_paths < UINT32_MAX, "trace has over 2^32 paths");
     BranchOutcomes out;
     out.correct.assign(num_paths, 1);
     out.correctBits = BitVec64(num_paths);
-    ConfidenceEstimator confidence(trace.numStatic);
-    std::vector<StaticId> sids(num_paths, 0);
+    ConfidenceEstimator confidence(prepared.numStatic());
     // The 2-bit predictor (every figure cell) devirtualizes into one
     // inlined table access per branch.
     TwoBitPredictor *const twobit =
@@ -176,25 +333,25 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
             out.correctBits.set(k);
             continue;
         }
-        const TraceRecord &b = records[paths[k].branchIndex()];
-        sids[k] = b.sid;
+        const StaticId sid = sids[k];
+        const bool actual = taken[k] != 0;
         bool predicted;
         if (twobit != nullptr) {
-            predicted = twobit->predictThenUpdate(b.sid, b.taken);
+            predicted = twobit->predictThenUpdate(sid, actual);
         } else {
             BranchQuery q;
-            q.sid = b.sid;
-            q.actual = b.taken;
+            q.sid = sid;
+            q.actual = actual;
             predicted = predictor.predict(q);
-            predictor.update(q, b.taken);
+            predictor.update(q, actual);
         }
-        const bool right = predicted == b.taken;
+        const bool right = predicted == actual;
         out.correct[k] = right ? 1 : 0;
         if (right) {
             out.correctBits.set(k);
             ++out.accuracy.correct;
         }
-        confidence.record(b.sid, right);
+        confidence.record(sid, right);
         ++out.accuracy.branches;
     }
     // Squashed work is charged to the bucket of the branch's confidence
@@ -206,6 +363,14 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
                 obs::confidenceBucket(confidence.estimate(sids[k])));
         }
     }
+    std::vector<std::uint32_t> &nm = out.nextUncrossable;
+    nm.resize(num_paths + 1);
+    nm[num_paths] = static_cast<std::uint32_t>(num_paths);
+    for (std::size_t k = num_paths; k-- > 0;) {
+        nm[k] = (paths[k].endsInBranch && out.correct[k] != 0)
+                    ? nm[k + 1]
+                    : static_cast<std::uint32_t>(k);
+    }
     if (out.accuracy.branches > 0) {
         out.accuracy.accuracy =
             static_cast<double>(out.accuracy.correct) /
@@ -215,13 +380,13 @@ predictOutcomes(const Trace &trace, const std::vector<BranchPath> &paths,
 }
 
 const PreparedTrace &
-PreparedTrace::of(const Trace &trace)
+PreparedTrace::of(const Trace &trace, const Cfg *cfg)
 {
     PreparedSlot &slot = trace.prepared;
     const std::lock_guard<std::mutex> lock(slot.mutex);
     if (slot.prepared == nullptr) {
         timedBuild([&] {
-            slot.prepared = std::make_shared<const PreparedTrace>(trace);
+            slot.prepared = std::make_shared<const PreparedTrace>(trace, cfg);
         });
     } else {
         countHit();
@@ -235,41 +400,31 @@ PreparedTrace::of(const Trace &trace)
     return prep;
 }
 
-PreparedTrace::PreparedTrace(const Trace &trace)
-    : trace_(trace), paths_(segmentPaths(trace))
+PreparedTrace::PreparedTrace(const Trace &trace, const Cfg *cfg)
+    : trace_(trace)
 {
-    const std::size_t num_paths = paths_.size();
-    ends_ = BitVec64(num_paths);
-    sids_.assign(num_paths, 0);
-    backward_.assign(num_paths, 0);
-    for (std::size_t k = 0; k < num_paths; ++k) {
-        if (paths_[k].endsInBranch) {
-            const TraceRecord &b = trace.records[paths_[k].branchIndex()];
-            // The fast kernel takes a path's last issue as its branch's.
-            DEE_INVARIANT(b.isBranch, "path ", k,
-                          " does not end in its branch");
-            ends_.set(k);
-            sids_[k] = b.sid;
-            backward_[k] = b.backward ? 1 : 0;
-        }
+    if (cfg != nullptr) {
+        JoinSweep join(*cfg, trace.size());
+        sweepRecords(trace, join, paths_, sids_, backward_, taken_,
+                     decoded_);
+        joins_.emplace(cfg->serial(), std::move(join).finish());
+    } else {
+        NoJoin none;
+        sweepRecords(trace, none, paths_, sids_, backward_, taken_,
+                     decoded_);
     }
-}
-
-const DecodedTrace &
-PreparedTrace::decode(const LatencyModel &latency) const
-{
-    const std::array<int, 5> key{latency.intAlu, latency.load,
-                                 latency.store, latency.branch,
-                                 latency.other};
-    return lookupOrBuild(mutex_, decodes_, key,
-                         [&] { return decodeTrace(trace_, latency); });
+    ends_ = BitVec64(paths_.size());
+    for (std::size_t k = 0; k < paths_.size(); ++k)
+        if (paths_[k].endsInBranch)
+            ends_.set(k);
 }
 
 const std::vector<DynIndex> &
 PreparedTrace::joinIndex(const Cfg &cfg) const
 {
     return lookupOrBuild(mutex_, joins_, cfg.serial(), [&] {
-        return joinIndexOf(trace_, paths_, cfg);
+        return joinIndexOf(trace_, cfg,
+                           !paths_.empty() && !paths_.back().endsInBranch);
     });
 }
 
@@ -278,7 +433,7 @@ PreparedTrace::twoBitOutcomes(std::uint32_t num_static) const
 {
     return lookupOrBuild(mutex_, outcomes_, num_static, [&] {
         TwoBitPredictor predictor(num_static);
-        BranchOutcomes out = predictOutcomes(trace_, paths_, predictor);
+        BranchOutcomes out = predictOutcomes(*this, predictor);
         out.finalCounters = predictor.counters();
         return out;
     });

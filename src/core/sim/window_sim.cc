@@ -464,7 +464,7 @@ WindowSim::run(BranchPredictor &predictor) const
     static thread_local sim_detail::RunArena arena;
 
     // Trace-only inputs, built by the first run over this trace.
-    const PreparedTrace &prep = PreparedTrace::of(trace_);
+    const PreparedTrace &prep = PreparedTrace::of(trace_, cfg_);
     const std::vector<BranchPath> &paths = prep.paths();
     const BitVec64 &ends = prep.ends();
     const std::vector<StaticId> &sids = prep.branchSids();
@@ -503,7 +503,7 @@ WindowSim::run(BranchPredictor &predictor) const
             outcomes = &prep.twoBitOutcomes(twobit->numStatic());
             twobit->setCounters(outcomes->finalCounters);
         } else {
-            uncached = predictOutcomes(trace_, paths, predictor);
+            uncached = predictOutcomes(prep, predictor);
         }
         if (profiling) {
             // Online confidence: the bucket the site occupied when this
@@ -537,7 +537,7 @@ WindowSim::run(BranchPredictor &predictor) const
     static const std::vector<DynIndex> kNoJoins;
     const std::vector<DynIndex> &join_idx =
         use_cd ? prep.joinIndex(*cfg_) : kNoJoins;
-    const DecodedTrace &decoded = prep.decode(config_.latency);
+    const DecodedTrace &decoded = prep.decode();
 
     // --- Forward pass over branch paths ----------------------------------
     // The ledger outlives the kernel: issue cycles are recorded inline
@@ -561,6 +561,7 @@ WindowSim::run(BranchPredictor &predictor) const
         .config = config_,
         .correct = correct,
         .correctBits = correct_bits,
+        .nextUncrossable = outcomes->nextUncrossable,
         .ends = ends,
         .joinIdx = join_idx,
         .windowReach = window_reach,
@@ -818,7 +819,8 @@ oracleSim(const Trace &trace, LatencyModel latency,
         // same trace order as the reference's separate second pass.
         const PreparedTrace &prep = PreparedTrace::of(trace);
         obs::SlotLedger ledger(0, 0);
-        last = sim_detail::fastOracle(prep.decode(latency), load_latencies,
+        last = sim_detail::fastOracle(prep.decode(), latencyTable(latency),
+                                      load_latencies,
                                       gather_accounting ? &ledger : nullptr);
         result.branches = prep.ends().popcount();
         result.cycles = static_cast<std::uint64_t>(

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -75,44 +76,56 @@ validReg(RegId r)
     return r < kNumRegs || r == kNoReg;
 }
 
+/** Sets *err to the concatenated @p args; returns false. */
+template <typename... Args>
+bool
+fail(std::string *err, Args &&...args)
+{
+    *err = detail::concat(std::forward<Args>(args)...);
+    return false;
+}
+
 /** Fields the simulators use as indices must be in range. */
-void
+bool
 checkRecord(const TraceRecord &r, std::uint32_t num_static,
-            const std::string &path, std::uint64_t index)
+            const std::string &path, std::uint64_t index, std::string *err)
 {
     if (r.op > Opcode::Nop)
-        dee_fatal("'", path, "' record ", index, ": opcode ",
-                  int{static_cast<std::uint8_t>(r.op)}, " out of range");
+        return fail(err, "'", path, "' record ", index, ": opcode ",
+                    int{static_cast<std::uint8_t>(r.op)}, " out of range");
     if (!validReg(r.rd) || !validReg(r.rs1) || !validReg(r.rs2))
-        dee_fatal("'", path, "' record ", index, ": register out of range");
+        return fail(err, "'", path, "' record ", index,
+                    ": register out of range");
     if (r.sid >= num_static)
-        dee_fatal("'", path, "' record ", index, ": static id ", r.sid,
-                  " out of range (numStatic ", num_static, ")");
+        return fail(err, "'", path, "' record ", index, ": static id ",
+                    r.sid, " out of range (numStatic ", num_static, ")");
+    return true;
 }
 
 } // namespace
 
-void
-writeTrace(const Trace &trace, const std::string &path)
+bool
+writeTrace(const Trace &trace, const std::string &path, std::string *err)
 {
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
-        dee_fatal("cannot open '", path, "' for writing");
+        return fail(err, "cannot open '", path, "' for writing");
 
     unsigned char header[8 + 4 + 8];
     std::memcpy(header, kMagic, 8);
     packU32(header + 8, trace.numStatic);
     packU64(header + 12, trace.records.size());
     if (std::fwrite(header, sizeof(header), 1, f.get()) != 1)
-        dee_fatal("short write to '", path, "'");
+        return fail(err, "short write to '", path, "'");
 
     std::vector<unsigned char> buf;
     buf.reserve(kRecordSize * 4096);
     auto flush = [&]() {
-        if (!buf.empty() &&
-            std::fwrite(buf.data(), 1, buf.size(), f.get()) != buf.size())
-            dee_fatal("short write to '", path, "'");
+        const bool ok =
+            buf.empty() ||
+            std::fwrite(buf.data(), 1, buf.size(), f.get()) == buf.size();
         buf.clear();
+        return ok;
     };
     for (const auto &r : trace.records) {
         unsigned char rec[kRecordSize] = {};
@@ -127,24 +140,26 @@ writeTrace(const Trace &trace, const std::string &path)
                                              (r.backward ? 4 : 0));
         packU64(rec + 16, r.memAddr);
         buf.insert(buf.end(), rec, rec + kRecordSize);
-        if (buf.size() >= kRecordSize * 4096)
-            flush();
+        if (buf.size() >= kRecordSize * 4096 && !flush())
+            return fail(err, "short write to '", path, "'");
     }
-    flush();
+    if (!flush() || std::fflush(f.get()) != 0)
+        return fail(err, "short write to '", path, "'");
+    return true;
 }
 
-Trace
-readTrace(const std::string &path)
+bool
+readTrace(const std::string &path, Trace *out, std::string *err)
 {
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
-        dee_fatal("cannot open '", path, "' for reading");
+        return fail(err, "cannot open '", path, "' for reading");
 
     unsigned char header[8 + 4 + 8];
     if (std::fread(header, sizeof(header), 1, f.get()) != 1)
-        dee_fatal("'", path, "' is too short to be a trace file");
+        return fail(err, "'", path, "' is too short to be a trace file");
     if (std::memcmp(header, kMagic, 8) != 0)
-        dee_fatal("'", path, "' is not a DEETRAC1 trace file");
+        return fail(err, "'", path, "' is not a DEETRAC1 trace file");
 
     Trace trace;
     trace.numStatic = unpackU32(header + 8);
@@ -155,8 +170,8 @@ readTrace(const std::string &path)
     std::uint64_t size = 0;
     if (fileSize(f.get(), size)) {
         if (count > (size - sizeof(header)) / kRecordSize)
-            dee_fatal("'", path, "' is truncated: the header claims ",
-                      count, " records");
+            return fail(err, "'", path, "' is truncated: the header claims ",
+                        count, " records");
         trace.records.reserve(count);
     }
 
@@ -166,7 +181,7 @@ readTrace(const std::string &path)
         const std::size_t batch =
             std::min<std::uint64_t>(remaining, 4096);
         if (std::fread(buf.data(), kRecordSize, batch, f.get()) != batch)
-            dee_fatal("'", path, "' is truncated");
+            return fail(err, "'", path, "' is truncated");
         for (std::size_t i = 0; i < batch; ++i) {
             const unsigned char *rec = buf.data() + i * kRecordSize;
             TraceRecord r;
@@ -180,12 +195,15 @@ readTrace(const std::string &path)
             r.taken = (rec[12] & 2) != 0;
             r.backward = (rec[12] & 4) != 0;
             r.memAddr = unpackU64(rec + 16);
-            checkRecord(r, trace.numStatic, path, count - remaining + i);
+            if (!checkRecord(r, trace.numStatic, path,
+                             count - remaining + i, err))
+                return false;
             trace.records.push_back(r);
         }
         remaining -= batch;
     }
-    return trace;
+    *out = std::move(trace);
+    return true;
 }
 
 } // namespace dee

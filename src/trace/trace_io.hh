@@ -25,11 +25,19 @@
 namespace dee
 {
 
-/** Writes a trace to a file; fatal on I/O failure. */
-void writeTrace(const Trace &trace, const std::string &path);
+/**
+ * Writes @p trace to the file at @p path.
+ * @return false with *err describing the first I/O failure.
+ */
+bool writeTrace(const Trace &trace, const std::string &path,
+                std::string *err);
 
-/** Reads a trace from a file; fatal on I/O or format failure. */
-Trace readTrace(const std::string &path);
+/**
+ * Reads the trace file at @p path into *out.
+ * @return false with *err naming the first I/O or format problem (and
+ * *out untouched); the reader never exits or aborts.
+ */
+bool readTrace(const std::string &path, Trace *out, std::string *err);
 
 } // namespace dee
 

@@ -34,8 +34,10 @@ TEST(Pipeline, CaptureFileReplayMatchesDirect)
     const std::string path =
         ::testing::TempDir() + "dee_integration_trace.bin";
     const BenchmarkInstance inst = makeInstance(WorkloadId::Eqntott, 1);
-    writeTrace(inst.trace, path);
-    const Trace loaded = readTrace(path);
+    std::string err;
+    ASSERT_TRUE(writeTrace(inst.trace, path, &err)) << err;
+    Trace loaded;
+    ASSERT_TRUE(readTrace(path, &loaded, &err)) << err;
     std::remove(path.c_str());
 
     for (ModelKind kind : {ModelKind::SP, ModelKind::DEE,

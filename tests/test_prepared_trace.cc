@@ -7,12 +7,17 @@
  * preparation) and a warm run (a later one, which reads it) must agree
  * bit for bit on every model, latency model, load-latency override, PE
  * limit and engine, and both must match a predictor pass run afresh.
- * The rest pins the cache's keys and lifetime: copies and Cfgs never
- * share entries by accident, and racing first uses build once.
+ * The one forward sweep that builds the preparation is checked
+ * against plain recomputations written here: segmentPaths, the
+ * backward join sweep it replaced, std::map address numbering and a
+ * predictor pass over the records. The rest pins the cache's keys and
+ * lifetime: copies and Cfgs never share entries by accident, and
+ * racing first uses build once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
 #include <map>
 #include <memory>
@@ -202,6 +207,305 @@ expectOnlineConfidenceBuckets(const Trace &trace,
             EXPECT_EQ(got.mispredictsByConf[b], w.mispredictsByConf[b])
                 << ctx << " sid " << sid << " bucket " << b;
     }
+}
+
+/** @p got must equal @p want; on a mismatch, names the first index
+ *  where they differ. */
+template <typename T>
+void
+expectSameSeq(const std::vector<T> &got, const std::vector<T> &want,
+              const std::string &what, const std::string &ctx)
+{
+    const std::size_t n = std::min(got.size(), want.size());
+    std::size_t at = 0;
+    while (at < n && got[at] == want[at])
+        ++at;
+    EXPECT_TRUE(at == n && got.size() == want.size())
+        << ctx << ": " << what << " differs at " << at << " (sizes "
+        << got.size() << " vs " << want.size() << ")";
+}
+
+/**
+ * The join index by an independent method, a backward sweep: next_occ[b]
+ * is the first dynamic index of block b strictly after the sweep
+ * cursor, and paths are pushed after their own branch is queried.
+ */
+std::vector<DynIndex>
+backwardJoinIndex(const Trace &trace, const std::vector<BranchPath> &paths,
+                  const Cfg &cfg)
+{
+    const auto &records = trace.records;
+    const DynIndex n = records.size();
+    std::vector<DynIndex> join(paths.size(), n);
+    std::vector<DynIndex> next_occ(cfg.numBlocks() + 1, n);
+    for (std::size_t k = paths.size(); k-- > 0;) {
+        if (paths[k].endsInBranch) {
+            const BlockId ipdom =
+                cfg.ipostdom(records[paths[k].branchIndex()].block);
+            if (ipdom < cfg.numBlocks())
+                join[k] = next_occ[ipdom];
+        }
+        for (DynIndex i = paths[k].end; i-- > paths[k].begin;)
+            next_occ[records[i].block] = i;
+    }
+    return join;
+}
+
+std::uint8_t
+expectedSlot(RegId r, std::size_t none)
+{
+    return static_cast<std::uint8_t>(
+        (r == kNoReg || r == kZeroReg) ? none : r);
+}
+
+/**
+ * Everything @p trace's preparation holds, against plain
+ * recomputations from the records. @p trace must be unprepared: its
+ * first use passes @p cfg (null for a cfg-less first use), and the join
+ * index is then checked under @p cfg and @p other_cfg when given.
+ */
+void
+expectSweepMatchesOracles(const Trace &trace, const Cfg *cfg,
+                          const Cfg *other_cfg, const std::string &ctx)
+{
+    const auto &records = trace.records;
+    const PreparedTrace &prep = PreparedTrace::of(trace, cfg);
+
+    // Paths and their exit branches.
+    const std::vector<BranchPath> paths = segmentPaths(trace);
+    ASSERT_EQ(prep.paths().size(), paths.size()) << ctx;
+    std::vector<StaticId> sids;
+    std::vector<std::uint8_t> backward;
+    std::vector<std::uint8_t> taken;
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+        const BranchPath &want = paths[k];
+        const BranchPath &got = prep.paths()[k];
+        ASSERT_TRUE(got.begin == want.begin && got.end == want.end &&
+                    got.endsInBranch == want.endsInBranch)
+            << ctx << ": path " << k;
+        EXPECT_EQ(prep.ends().test(k), want.endsInBranch) << ctx;
+        const TraceRecord none;
+        const TraceRecord &b =
+            want.endsInBranch ? records[want.branchIndex()] : none;
+        sids.push_back(want.endsInBranch ? b.sid : 0);
+        backward.push_back(b.backward ? 1 : 0);
+        taken.push_back(b.taken ? 1 : 0);
+    }
+    EXPECT_EQ(prep.ends().size(), paths.size()) << ctx;
+    expectSameSeq(prep.branchSids(), sids, "branch sids", ctx);
+    expectSameSeq(prep.backward(), backward, "backward flags", ctx);
+    expectSameSeq(prep.taken(), taken, "directions", ctx);
+
+    // Decode: class and slots per record, addresses numbered in order
+    // of first use, latencies through the class table.
+    const DecodedTrace &dec = prep.decode();
+    ASSERT_EQ(dec.instrs.size(), records.size()) << ctx;
+    std::map<std::uint64_t, std::uint32_t> ids;
+    std::vector<std::uint32_t> addr_ids;
+    const LatencyModel odd{2, 5, 3, 7, 11};
+    const LatencyTable unit_table = latencyTable(LatencyModel::unit());
+    const LatencyTable odd_table = latencyTable(odd);
+    std::vector<int> load_lat(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        load_lat[i] = 20 + static_cast<int>(i % 7);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const TraceRecord &rec = records[i];
+        const DecodedInstr &d = dec.instrs[i];
+        const OpClass cls = opClass(rec.op);
+        ASSERT_TRUE(d.cls == cls &&
+                    d.src1 == expectedSlot(rec.rs1, kZeroSlot) &&
+                    d.src2 == expectedSlot(rec.rs2, kZeroSlot) &&
+                    d.dst == expectedSlot(rec.rd, kSinkSlot))
+            << ctx << ": decode of record " << i;
+        ASSERT_TRUE(dec.latency(i, unit_table, nullptr) == 1 &&
+                    dec.latency(i, odd_table, nullptr) == odd.of(cls) &&
+                    dec.latency(i, odd_table, &load_lat) ==
+                        (cls == OpClass::Load ? load_lat[i] : odd.of(cls)))
+            << ctx << ": latency of record " << i;
+        if (cls == OpClass::Load || cls == OpClass::Store) {
+            const auto next = static_cast<std::uint32_t>(ids.size());
+            addr_ids.push_back(ids.try_emplace(rec.memAddr, next).first->second);
+        }
+    }
+    expectSameSeq(dec.addrIds, addr_ids, "address ids", ctx);
+    EXPECT_EQ(dec.numAddrs, ids.size()) << ctx;
+
+    // Join index, under the sweep's Cfg and a later one.
+    for (const Cfg *g : {cfg, other_cfg}) {
+        if (g != nullptr) {
+            expectSameSeq(prep.joinIndex(*g),
+                          backwardJoinIndex(trace, paths, *g),
+                          "join index", ctx);
+        }
+    }
+
+    // Predictor outcomes: a plain pass over the records through the
+    // virtual interface.
+    OpaqueTwoBit plain(trace.numStatic);
+    ConfidenceEstimator confidence(trace.numStatic);
+    std::vector<std::uint8_t> correct(paths.size(), 1);
+    std::uint64_t branches = 0;
+    std::uint64_t right_count = 0;
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+        if (!paths[k].endsInBranch)
+            continue;
+        const TraceRecord &b = records[paths[k].branchIndex()];
+        BranchQuery q;
+        q.sid = b.sid;
+        q.actual = b.taken;
+        const bool right = plain.predict(q) == b.taken;
+        plain.update(q, b.taken);
+        correct[k] = right ? 1 : 0;
+        confidence.record(b.sid, right);
+        ++branches;
+        right_count += right ? 1 : 0;
+    }
+    std::vector<std::uint8_t> buckets(paths.size(), 0);
+    std::vector<std::uint32_t> next_uncrossable(paths.size() + 1);
+    next_uncrossable[paths.size()] = static_cast<std::uint32_t>(paths.size());
+    for (std::size_t k = paths.size(); k-- > 0;) {
+        if (paths[k].endsInBranch) {
+            buckets[k] = static_cast<std::uint8_t>(obs::confidenceBucket(
+                confidence.estimate(records[paths[k].branchIndex()].sid)));
+        }
+        next_uncrossable[k] = (paths[k].endsInBranch && correct[k] != 0)
+                                  ? next_uncrossable[k + 1]
+                                  : static_cast<std::uint32_t>(k);
+    }
+    OpaqueTwoBit opaque(trace.numStatic);
+    const BranchOutcomes uncached = predictOutcomes(prep, opaque);
+    for (const BranchOutcomes *out :
+         {&prep.twoBitOutcomes(trace.numStatic), &uncached}) {
+        const std::string which =
+            ctx + (out == &uncached ? " uncached" : " 2-bit");
+        expectSameSeq(out->correct, correct, "outcomes", which);
+        for (std::size_t k = 0; k < paths.size(); ++k)
+            ASSERT_EQ(out->correctBits.test(k), correct[k] != 0) << which;
+        EXPECT_EQ(out->accuracy.branches, branches) << which;
+        EXPECT_EQ(out->accuracy.correct, right_count) << which;
+        expectSameSeq(out->squashBucket, buckets, "squash buckets", which);
+        expectSameSeq(out->nextUncrossable, next_uncrossable,
+                      "next uncrossable paths", which);
+    }
+    EXPECT_EQ(prep.twoBitOutcomes(trace.numStatic).finalCounters,
+              plain.counters())
+        << ctx;
+}
+
+/** A fresh (unprepared) trace of @p from's records [0, @p end). */
+Trace
+prefixOf(const Trace &from, std::size_t end)
+{
+    Trace t;
+    t.numStatic = from.numStatic;
+    t.records.assign(from.records.begin(),
+                     from.records.begin() + static_cast<long>(end));
+    return t;
+}
+
+TEST(PreparedTraceSweep, MatchesPlainRecomputationsOnEveryWorkload)
+{
+    const BenchmarkInstance other =
+        makeInstance(WorkloadId::Espresso, 1, kMaxInstrs);
+    for (WorkloadId id : allWorkloads())
+        for (int scale : {1, 4})
+            for (std::uint64_t seed : {0u, 7u}) {
+                const BenchmarkInstance inst =
+                    makeInstance(id, scale, 50'000'000, seed);
+                const std::string ctx = std::string(workloadName(id)) +
+                                        " scale " + std::to_string(scale) +
+                                        " seed " + std::to_string(seed);
+                ASSERT_GT(inst.trace.size(), 0u) << ctx;
+                const Trace trace = inst.trace;
+                // Espresso's graph covers every other program's blocks.
+                const bool covers =
+                    other.cfg.numBlocks() >= inst.cfg.numBlocks();
+                expectSweepMatchesOracles(trace, &inst.cfg,
+                                          covers ? &other.cfg : nullptr,
+                                          ctx);
+            }
+}
+
+TEST(PreparedTraceSweep, EdgeShapes)
+{
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Compress, 1, kMaxInstrs);
+    const auto &records = inst.trace.records;
+    std::vector<std::size_t> branches;
+    for (std::size_t i = 0; i < records.size(); ++i)
+        if (records[i].isBranch)
+            branches.push_back(i);
+    ASSERT_GE(branches.size(), 20u);
+    ASSERT_GT(branches[0], 0u);
+
+    Trace empty;
+    empty.numStatic = inst.trace.numStatic;
+    expectSweepMatchesOracles(empty, &inst.cfg, nullptr, "empty");
+    EXPECT_EQ(PreparedTrace::of(empty).twoBitOutcomes(empty.numStatic)
+                  .nextUncrossable,
+              std::vector<std::uint32_t>{0});
+
+    const Trace no_branch = prefixOf(inst.trace, branches[0]);
+    expectSweepMatchesOracles(no_branch, &inst.cfg, nullptr, "no branch");
+    EXPECT_EQ(PreparedTrace::of(no_branch).joinIndex(inst.cfg),
+              std::vector<DynIndex>{no_branch.size()});
+
+    const Trace ends_in_branch = prefixOf(inst.trace, branches[19] + 1);
+    expectSweepMatchesOracles(ends_in_branch, &inst.cfg, nullptr,
+                              "ends in a branch");
+    EXPECT_TRUE(PreparedTrace::of(ends_in_branch).paths().back().endsInBranch);
+
+    // A cfg-less first use: the join index is built on its own later.
+    const Trace cfgless = inst.trace;
+    expectSweepMatchesOracles(cfgless, nullptr, &inst.cfg, "cfg-less");
+}
+
+/** Counts perf.prepare.builds across @p body. */
+template <typename Body>
+std::uint64_t
+buildsDuring(Body &&body)
+{
+    obs::CellSink sink;
+    {
+        const obs::IsolationScope scope(sink);
+        body();
+    }
+    const std::uint64_t *b =
+        sink.registry.findCounter("perf.prepare.builds");
+    return b != nullptr ? *b : 0;
+}
+
+TEST(PreparedTraceSweep, CfgLessFirstUseThenCdModelStaysExact)
+{
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, kMaxInstrs);
+    const ModelRunOptions options;
+    const Trace cold = inst.trace;
+    const CellRun want = isolatedRun<TwoBitPredictor>(
+        ModelKind::DEE_CD_MF, cold, inst.cfg, 32, options);
+    // With the Cfg: one sweep (join included) and the 2-bit outcomes.
+    EXPECT_EQ(want.builds, 2u);
+
+    const TwoBitPredictor probe(inst.trace.numStatic);
+    const Trace after_accuracy = inst.trace;
+    EXPECT_EQ(buildsDuring([&] {
+                  (void)characteristicAccuracy(after_accuracy, probe);
+              }),
+              2u);
+    const CellRun a = isolatedRun<TwoBitPredictor>(
+        ModelKind::DEE_CD_MF, after_accuracy, inst.cfg, 32, options);
+    expectSameRun(a, want, "after characteristicAccuracy");
+    EXPECT_EQ(a.builds, 1u) << "only the join index is left to build";
+
+    const Trace after_oracle = inst.trace;
+    EXPECT_EQ(buildsDuring([&] {
+                  (void)oracleSim(after_oracle, LatencyModel::realistic());
+              }),
+              1u);
+    const CellRun b = isolatedRun<TwoBitPredictor>(
+        ModelKind::DEE_CD_MF, after_oracle, inst.cfg, 32, options);
+    expectSameRun(b, want, "after the Oracle");
+    EXPECT_EQ(b.builds, 2u) << "the join index and the 2-bit outcomes";
 }
 
 TEST(PreparedTrace, ColdAndWarmRunsBitExactOnEveryConfiguration)
@@ -442,9 +746,10 @@ TEST(PreparedTrace, RacingFirstUsesBuildOnceAndAgree)
         expectSameRun(run, serial, "thread " + std::to_string(t));
         builds += run.builds;
     }
-    // Paths, 2-bit outcomes, join index and decode: each built once.
+    // The one sweep (paths, decode and join index) and the 2-bit
+    // outcomes: each built once.
     EXPECT_EQ(builds, serial.builds);
-    EXPECT_EQ(serial.builds, 4u);
+    EXPECT_EQ(serial.builds, 2u);
 }
 
 } // namespace

@@ -153,16 +153,49 @@ class TraceIoTest : public ::testing::Test
         std::remove(path_.c_str());
     }
 
+    /** Writes @p t to path_, failing the test on an error. */
+    void
+    write(const Trace &t)
+    {
+        std::string err;
+        ASSERT_TRUE(writeTrace(t, path_, &err)) << err;
+    }
+
+    /** Reads path_ back, failing the test on an error. */
+    Trace
+    read()
+    {
+        Trace t;
+        std::string err;
+        EXPECT_TRUE(readTrace(path_, &t, &err)) << err;
+        return t;
+    }
+
     std::string path_;
 };
+
+/** Reading @p path must fail with an error containing @p message and
+ *  leave the output trace untouched. */
+void
+expectReadError(const std::string &path, const std::string &message)
+{
+    Trace t;
+    t.numStatic = 77;
+    std::string err;
+    EXPECT_FALSE(readTrace(path, &t, &err)) << path << " was accepted";
+    EXPECT_NE(err.find(message), std::string::npos)
+        << "error '" << err << "' lacks '" << message << "'";
+    EXPECT_EQ(t.numStatic, 77u);
+    EXPECT_TRUE(t.records.empty());
+}
 
 TEST_F(TraceIoTest, RoundTripPreservesEverything)
 {
     Trace t = sampleTrace();
     t.records[0].memAddr = 0x1234567890abcdefull;
     t.records[2].backward = true;
-    writeTrace(t, path_);
-    const Trace u = readTrace(path_);
+    write(t);
+    const Trace u = read();
 
     EXPECT_EQ(u.numStatic, t.numStatic);
     ASSERT_EQ(u.records.size(), t.records.size());
@@ -186,8 +219,8 @@ TEST_F(TraceIoTest, RoundTripEmptyTrace)
 {
     Trace t;
     t.numStatic = 3;
-    writeTrace(t, path_);
-    const Trace u = readTrace(path_);
+    write(t);
+    const Trace u = read();
     EXPECT_EQ(u.numStatic, 3u);
     EXPECT_TRUE(u.records.empty());
 }
@@ -203,8 +236,8 @@ TEST_F(TraceIoTest, LargeTraceRoundTrip)
             r = branch(static_cast<StaticId>(i % 100), i % 14 == 0);
         t.records.push_back(r);
     }
-    writeTrace(t, path_);
-    const Trace u = readTrace(path_);
+    write(t);
+    const Trace u = read();
     ASSERT_EQ(u.records.size(), t.records.size());
     for (std::size_t i = 0; i < t.records.size(); i += 997) {
         EXPECT_EQ(u.records[i].sid, t.records[i].sid);
@@ -219,27 +252,33 @@ TEST_F(TraceIoTest, RejectsGarbageFile)
     ASSERT_NE(f, nullptr);
     std::fputs("this is definitely not a DEE trace file at all", f);
     std::fclose(f);
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "not a DEETRAC1");
+    expectReadError(path_, "not a DEETRAC1");
 }
 
 TEST_F(TraceIoTest, RejectsMissingFile)
 {
-    EXPECT_EXIT(readTrace("/nonexistent/nope.bin"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    expectReadError("/nonexistent/nope.bin", "cannot open");
+}
+
+TEST_F(TraceIoTest, WriteReportsAnUnopenablePath)
+{
+    std::string err;
+    EXPECT_FALSE(writeTrace(sampleTrace(), "/nonexistent/out.bin", &err));
+    EXPECT_NE(err.find("cannot open '/nonexistent/out.bin' for writing"),
+              std::string::npos)
+        << err;
 }
 
 TEST_F(TraceIoTest, RejectsTruncatedFile)
 {
     Trace t = sampleTrace();
-    writeTrace(t, path_);
+    write(t);
     // Truncate mid-records.
     std::FILE *f = std::fopen(path_.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     ASSERT_EQ(truncate(path_.c_str(), 30), 0);
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "truncated");
+    expectReadError(path_, "truncated");
 }
 
 /** Overwrites @p bytes at @p offset of an existing file. */
@@ -266,51 +305,47 @@ recordAt(long i)
 
 TEST_F(TraceIoTest, RejectsCountTheFileCannotHold)
 {
-    writeTrace(sampleTrace(), path_);
+    write(sampleTrace());
     // 2^56 records: reserve() would throw length_error or bad_alloc.
     patchFile(path_, kCountAt, {0, 0, 0, 0, 0, 0, 0, 1});
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "truncated: the header claims 72057594037927936 records");
+    expectReadError(path_, "truncated: the header claims "
+                           "72057594037927936 records");
     // One record more than the file holds.
     patchFile(path_, kCountAt, {8, 0, 0, 0, 0, 0, 0, 0});
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "truncated: the header claims 8 records");
+    expectReadError(path_, "truncated: the header claims 8 records");
 }
 
 TEST_F(TraceIoTest, RejectsOpcodePastNop)
 {
-    writeTrace(sampleTrace(), path_);
+    write(sampleTrace());
     patchFile(path_, recordAt(3) + 8,
               {static_cast<unsigned char>(
                   static_cast<int>(Opcode::Nop) + 1)});
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "record 3: opcode 27 out of range");
+    expectReadError(path_, "record 3: opcode 27 out of range");
 }
 
 TEST_F(TraceIoTest, RejectsRegisterOutOfRange)
 {
     // kNumRegs is the first bad id; kNoReg (0xff) is legal.
     for (const long field : {9L, 10L, 11L}) {
-        writeTrace(sampleTrace(), path_);
+        write(sampleTrace());
         patchFile(path_, recordAt(1) + field, {kNumRegs});
-        EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                    "record 1: register out of range");
+        expectReadError(path_, "record 1: register out of range");
         patchFile(path_, recordAt(1) + field, {0xfe});
-        EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                    "record 1: register out of range");
+        expectReadError(path_, "record 1: register out of range");
         patchFile(path_, recordAt(1) + field, {kNoReg});
-        EXPECT_EQ(readTrace(path_).records.size(), 7u);
+        EXPECT_EQ(read().records.size(), 7u);
     }
 }
 
 TEST_F(TraceIoTest, RejectsStaticIdPastNumStatic)
 {
-    writeTrace(sampleTrace(), path_); // numStatic 10
+    write(sampleTrace()); // numStatic 10
     patchFile(path_, recordAt(6), {10, 0, 0, 0});
-    EXPECT_EXIT(readTrace(path_), ::testing::ExitedWithCode(1),
-                "record 6: static id 10 out of range \\(numStatic 10\\)");
+    expectReadError(path_,
+                    "record 6: static id 10 out of range (numStatic 10)");
     patchFile(path_, recordAt(6), {9, 0, 0, 0});
-    EXPECT_EQ(readTrace(path_).records[6].sid, 9u);
+    EXPECT_EQ(read().records[6].sid, 9u);
 }
 
 } // namespace

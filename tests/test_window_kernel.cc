@@ -239,7 +239,7 @@ TEST(SparseAddresses, CompactIdsNumberTheDistinctAddresses)
     }
     ASSERT_EQ(distinct.size(), kAddrs.size());
     const DecodedTrace &dec =
-        PreparedTrace::of(trace).decode(LatencyModel::unit());
+        PreparedTrace::of(trace).decode();
     EXPECT_EQ(dec.numAddrs, distinct.size());
     ASSERT_EQ(dec.addrIds.size(), mem_addrs.size());
     // Equal ids exactly for equal addresses.
