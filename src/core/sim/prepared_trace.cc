@@ -318,6 +318,7 @@ predictOutcomes(const PreparedTrace &prepared, BranchPredictor &predictor)
     const std::vector<BranchPath> &paths = prepared.paths();
     const std::vector<StaticId> &sids = prepared.branchSids();
     const std::vector<std::uint8_t> &taken = prepared.taken();
+    const std::vector<std::uint8_t> &backward = prepared.backward();
     const std::size_t num_paths = paths.size();
     dee_assert(num_paths < UINT32_MAX, "trace has over 2^32 paths");
     BranchOutcomes out;
@@ -341,6 +342,7 @@ predictOutcomes(const PreparedTrace &prepared, BranchPredictor &predictor)
         } else {
             BranchQuery q;
             q.sid = sid;
+            q.backward = backward[k] != 0;
             q.actual = actual;
             predicted = predictor.predict(q);
             predictor.update(q, actual);

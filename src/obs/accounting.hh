@@ -88,17 +88,6 @@ constexpr std::size_t kNumSlotClasses = 7;
 const char *slotClassName(SlotClass cls);
 
 /**
- * Recomputes every "acct.<scope>.waste_fraction" /
- * "acct.<scope>.useful_fraction" scalar in @p registry from the
- * accumulated counters, exactly as the last CycleAccount::publish()
- * of each scope would have. Registry::merge() leaves these derived
- * scalars holding the last merged cell's snapshot; the parallel
- * runner calls this once after all cells merged so the scalars equal
- * the serial run's bit for bit (same integer operands, same division).
- */
-void refreshAccountingScalars(Registry &registry);
-
-/**
  * Branch-confidence buckets for squashed-work attribution. A branch
  * with measured prediction accuracy a lands in:
  *   0: a <  0.75   ("lt75"  — DEE would side-path these first)
@@ -177,9 +166,9 @@ class CycleAccount
 
     /**
      * Accumulates into @p registry under "acct.<prefix>.*": one
-     * counter per class, per-bucket squash counters, the denominator,
-     * and derived fraction scalars recomputed from the accumulated
-     * counters (so they stay exact across any number of runs).
+     * counter per class, per-bucket squash counters and the
+     * denominator. The waste/useful fractions over the accumulated
+     * counters are written by obs::deriveScalars() at dump time.
      */
     void publish(Registry &registry, const std::string &prefix) const;
 

@@ -42,9 +42,7 @@ class CellSink
 
     /**
      * Folds this cell's output into the process-wide instances (call
-     * on one thread, in grid order, after the cell finished). Derived
-     * scalars are NOT refreshed here — the sweep driver refreshes
-     * them once after the last cell merges.
+     * on one thread, in grid order, after the cell finished).
      */
     void
     mergeInto(Registry &reg, Tracer &tr, ProfileStore &stores) const

@@ -189,47 +189,6 @@ ThroughputMeter::~ThroughputMeter()
     publish();
 }
 
-namespace
-{
-
-/** perf.<scope>.kips et al. from the scope's accumulated state; the
- *  single formula both publish() and refreshPerfScalars() use, so a
- *  post-merge refresh reproduces publish-time values bit for bit. */
-void
-deriveScopeScalars(Registry &registry, const std::string &prefix)
-{
-    const std::uint64_t *instrs =
-        registry.findCounter(prefix + ".sim_instructions");
-    const std::uint64_t *cycles =
-        registry.findCounter(prefix + ".sim_cycles");
-    const RunningStat *wall = registry.findStat(prefix + ".run_ms");
-    const double ms = wall != nullptr ? wall->sum() : 0.0;
-    if (ms > 0.0) {
-        // instructions per host millisecond == kilo-instructions per
-        // host second; same for cycles and mcps after the /1000.
-        if (instrs != nullptr) {
-            registry.scalar(prefix + ".kips") =
-                static_cast<double>(*instrs) / ms;
-        }
-        if (cycles != nullptr) {
-            registry.scalar(prefix + ".mcps") =
-                static_cast<double>(*cycles) / ms / 1000.0;
-        }
-    }
-    const std::uint64_t *host_instrs =
-        registry.findCounter(prefix + ".host_instructions");
-    const std::uint64_t *host_cycles =
-        registry.findCounter(prefix + ".host_cycles");
-    if (host_instrs != nullptr && host_cycles != nullptr &&
-        *host_cycles > 0) {
-        registry.scalar(prefix + ".host_ipc") =
-            static_cast<double>(*host_instrs) /
-            static_cast<double>(*host_cycles);
-    }
-}
-
-} // namespace
-
 void
 ThroughputMeter::publish()
 {
@@ -249,7 +208,6 @@ ThroughputMeter::publish()
         registry_.counter(prefix + ".host_cache_misses") +=
             hw.cacheMisses;
     }
-    deriveScopeScalars(registry_, prefix);
 }
 
 HostResources
@@ -283,23 +241,6 @@ publishHostResources(Registry &registry)
     registry.counter("perf.host.peak_rss_kb") = res.peakRssKb;
     registry.counter("perf.host.major_faults") = res.majorFaults;
     registry.counter("perf.host.minor_faults") = res.minorFaults;
-}
-
-void
-refreshPerfScalars(Registry &registry)
-{
-    static const std::string kPrefix = "perf.";
-    static const std::string kSuffix = ".sim_instructions";
-    for (const std::string &path : registry.paths()) {
-        if (path.compare(0, kPrefix.size(), kPrefix) != 0)
-            continue;
-        if (path.size() <= kPrefix.size() + kSuffix.size() ||
-            path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                         kSuffix) != 0)
-            continue;
-        deriveScopeScalars(registry,
-                           path.substr(0, path.size() - kSuffix.size()));
-    }
 }
 
 } // namespace dee::obs::perf

@@ -20,19 +20,21 @@
  *   perf.<scope>.sim_cycles       counter  simulated machine cycles
  *   perf.<scope>.run_ms           stat     host wall ms per run
  *   perf.<scope>.kips             scalar   simulated kilo-instr / host s
+ *                                          (derived at dump time)
  *   perf.<scope>.mcps             scalar   simulated mega-cycles / host s
+ *                                          (derived at dump time)
  *   perf.<scope>.host_cycles      counter  (hw counters only)
  *   perf.<scope>.host_instructions counter (hw counters only)
  *   perf.<scope>.host_branch_misses counter (hw counters only)
  *   perf.<scope>.host_cache_misses  counter (hw counters only)
- *   perf.<scope>.host_ipc         scalar   (hw counters only)
+ *   perf.<scope>.host_ipc         scalar   (hw counters only; derived
+ *                                          at dump time)
  *
- * The derived scalars (kips/mcps/host_ipc) are recomputed from the
- * accumulated counters on every publish — and re-derived once more by
- * refreshPerfScalars() after a parallel sweep merges its cells — so
- * perf.* scopes merge correctly at any --jobs value: counters add
- * exactly, run_ms stats merge by sample replay, and the scalars are a
- * pure function of the merged state.
+ * A meter publishes only facts that merge exactly: counters add and
+ * run_ms stats merge by sample replay, so perf.* scopes are correct at
+ * any --jobs value. The derived scalars are a pure function of that
+ * merged state, written once by obs::deriveScalars() when the
+ * registry is dumped.
  *
  * Wall-clock (and host-counter) values are nondeterministic by
  * nature; consumers that compare runs bit-for-bit must normalize the
@@ -189,16 +191,6 @@ HostResources readHostResources();
  * exit after several sweeps) stay idempotent. No-op when !valid.
  */
 void publishHostResources(Registry &registry);
-
-/**
- * Recomputes every perf.<scope>.kips / .mcps / .host_ipc scalar in
- * @p registry from the accumulated counters and run_ms stats, exactly
- * as the last ThroughputMeter publish of each scope would have.
- * Registry::merge() leaves derived scalars holding the last merged
- * cell's snapshot; the parallel runner calls this once after all
- * cells merged (alongside refreshAccountingScalars()).
- */
-void refreshPerfScalars(Registry &registry);
 
 } // namespace dee::obs::perf
 

@@ -320,12 +320,6 @@ SpeculationProfile::publish(Registry &registry,
                         site.resolveLatency[b]);
         }
     }
-    if (latency.total() > 0) {
-        registry.scalar(base + "resolve_latency_p50") =
-            latency.percentile(0.50);
-        registry.scalar(base + "resolve_latency_p90") =
-            latency.percentile(0.90);
-    }
 }
 
 Json
@@ -548,24 +542,6 @@ ProfileStore::mergeFrom(const ProfileStore &other)
 {
     for (const auto &[scope, profile] : other.scopes_)
         scopes_[scope].merge(profile);
-}
-
-void
-refreshProfileScalars(Registry &registry)
-{
-    const std::string suffix = ".resolve_latency";
-    for (const std::string &path : registry.paths()) {
-        if (path.compare(0, 5, "prof.") != 0 ||
-            path.size() <= suffix.size() ||
-            path.compare(path.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        const Histogram *latency = registry.findHistogram(path);
-        if (latency == nullptr || latency->total() == 0)
-            continue;
-        registry.scalar(path + "_p50") = latency->percentile(0.50);
-        registry.scalar(path + "_p90") = latency->percentile(0.90);
-    }
 }
 
 void

@@ -195,8 +195,9 @@ class SpeculationProfile
 
     void merge(const SpeculationProfile &other);
 
-    /** Mirrors scope aggregates under "prof.<scope>.*": counters,
-     *  a resolve-latency Histogram, and p50/p90 scalars. */
+    /** Mirrors scope aggregates under "prof.<scope>.*": counters and
+     *  a resolve-latency Histogram (whose p50/p90 scalars
+     *  obs::deriveScalars() writes at dump time). */
     void publish(Registry &registry, const std::string &scope) const;
 
     /** Bounded object for the manifest "profile" section. */
@@ -268,15 +269,6 @@ class ProfileStore
   private:
     std::map<std::string, SpeculationProfile> scopes_;
 };
-
-/**
- * Recomputes every "prof.<scope>.resolve_latency_p50/_p90" scalar in
- * @p registry from its (merged) resolve-latency histogram, exactly as
- * the last SpeculationProfile::publish() of each scope would have.
- * Counterpart of refreshAccountingScalars() for the profiler family;
- * called by the parallel runner after cell registries merge.
- */
-void refreshProfileScalars(Registry &registry);
 
 } // namespace dee::obs
 

@@ -1,6 +1,7 @@
 #include "obs/registry.hh"
 
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -337,6 +338,95 @@ Registry::toJson() const
         }
     }
     return root;
+}
+
+namespace
+{
+
+double
+ratio(std::uint64_t num, std::uint64_t den)
+{
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+}
+
+std::uint64_t
+counterOrZero(const Registry &registry, const std::string &path)
+{
+    const std::uint64_t *c = registry.findCounter(path);
+    return c != nullptr ? *c : 0;
+}
+
+/** One derived-scalar rule: every leaf "<family><scope><anchor>"
+ *  names a scope whose facts yield the rule's scalars. */
+struct DeriveRule
+{
+    std::string_view family;
+    std::string_view anchor;
+    void (*derive)(Registry &registry, const std::string &scope);
+};
+
+const DeriveRule kDeriveRules[] = {
+    {"acct.", ".pe_slot_cycles",
+     [](Registry &r, const std::string &scope) {
+         const std::uint64_t useful = counterOrZero(r, scope + ".useful");
+         const std::uint64_t squashed =
+             counterOrZero(r, scope + ".squashed_spec");
+         r.scalar(scope + ".waste_fraction") =
+             ratio(squashed, useful + squashed);
+         r.scalar(scope + ".useful_fraction") =
+             ratio(useful, counterOrZero(r, scope + ".pe_slot_cycles"));
+     }},
+    {"prof.", ".resolve_latency",
+     [](Registry &r, const std::string &scope) {
+         const Histogram *latency =
+             r.findHistogram(scope + ".resolve_latency");
+         if (latency == nullptr || latency->total() == 0)
+             return;
+         r.scalar(scope + ".resolve_latency_p50") =
+             latency->percentile(0.50);
+         r.scalar(scope + ".resolve_latency_p90") =
+             latency->percentile(0.90);
+     }},
+    {"perf.", ".sim_instructions",
+     [](Registry &r, const std::string &scope) {
+         const RunningStat *wall = r.findStat(scope + ".run_ms");
+         const double ms = wall != nullptr ? wall->sum() : 0.0;
+         if (ms > 0.0) {
+             // Instructions per host millisecond == kilo-instructions
+             // per host second; same for cycles and mcps after /1000.
+             r.scalar(scope + ".kips") =
+                 static_cast<double>(
+                     counterOrZero(r, scope + ".sim_instructions")) /
+                 ms;
+             if (const std::uint64_t *cycles =
+                     r.findCounter(scope + ".sim_cycles"))
+                 r.scalar(scope + ".mcps") =
+                     static_cast<double>(*cycles) / ms / 1000.0;
+         }
+         const std::uint64_t *host_instrs =
+             r.findCounter(scope + ".host_instructions");
+         const std::uint64_t host_cycles =
+             counterOrZero(r, scope + ".host_cycles");
+         if (host_instrs != nullptr && host_cycles > 0)
+             r.scalar(scope + ".host_ipc") =
+                 ratio(*host_instrs, host_cycles);
+     }},
+};
+
+} // namespace
+
+void
+deriveScalars(Registry &registry)
+{
+    for (const std::string &path : registry.paths()) {
+        for (const DeriveRule &rule : kDeriveRules) {
+            const std::size_t a = rule.anchor.size();
+            if (path.size() > rule.family.size() + a &&
+                path.starts_with(rule.family) && path.ends_with(rule.anchor))
+                rule.derive(registry, path.substr(0, path.size() - a));
+        }
+    }
 }
 
 } // namespace dee::obs

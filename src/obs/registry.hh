@@ -99,15 +99,13 @@ class Registry
      * Folds @p other into this registry: counters add, stats merge
      * (exact replay when @p other logs samples), histograms add their
      * bucket counts, and plain scalars are overwritten by @p other's
-     * value. Derived scalars (acct.* fractions, prof.* percentiles)
-     * therefore hold the *last merged cell's* snapshot afterwards —
-     * callers must refresh them from the merged counters
-     * (refreshAccountingScalars() / refreshProfileScalars()) once all
-     * merging is done. Kind or tree-shape conflicts are fatal.
+     * value. No ratio over merged facts is stored (deriveScalars()
+     * computes those at dump time), so the merged state is exact.
+     * Kind or tree-shape conflicts are fatal.
      */
     void merge(const Registry &other);
 
-    /** All leaf paths in sorted order (iteration for merge/refresh). */
+    /** All leaf paths in sorted order. */
     std::vector<std::string> paths() const;
 
     /** Read-only typed lookups; null when absent or of another kind. */
@@ -153,6 +151,28 @@ class Registry
     std::map<std::string, Entry> entries_;
     bool logStatSamples_ = false;
 };
+
+/**
+ * Writes the scalars that are ratios over merged facts, from the
+ * registry's final counters, stats and histograms:
+ *
+ *   acct.<scope>.{waste_fraction,useful_fraction}
+ *       from the slot-class counters (anchor .pe_slot_cycles)
+ *   prof.<scope>.resolve_latency_{p50,p90}
+ *       from the .resolve_latency histogram, when non-empty
+ *   perf.<scope>.{kips,mcps}
+ *       from .sim_instructions/.sim_cycles over .run_ms's sum, when
+ *       that sum is positive
+ *   perf.<scope>.host_ipc
+ *       from .host_instructions/.host_cycles, when host_cycles > 0
+ *
+ * Publishers store only facts that merge exactly, so a serial run and
+ * any parallel merge order give the same inputs and, through the one
+ * formula each, the same scalars bit for bit. Call it once, right
+ * before the registry is dumped (Session does at exit); calling it
+ * again is harmless.
+ */
+void deriveScalars(Registry &registry);
 
 } // namespace dee::obs
 

@@ -174,6 +174,10 @@ Session::~Session()
     // reading — take it once, at exit, into perf.host.* so manifests
     // and stats dumps carry it.
     perf::publishHostResources(Registry::global());
+    // The ratios over merged facts (acct fractions, prof percentiles,
+    // perf throughput) are written once, from the final state, for
+    // the --stats and manifest dumps below.
+    deriveScalars(Registry::global());
     // Surface tracer health in the registry before any dump below
     // snapshots it: a wrapped ring (dropped > 0) silently truncates the
     // trace, which must be visible in stats and manifests.

@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "obs/accounting.hh"
 #include "obs/hotspot/hotspot.hh"
 #include "obs/isolate.hh"
-#include "obs/perf/perf.hh"
 #include "obs/profile/profile.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry/telemetry.hh"
@@ -42,7 +40,7 @@ unsigned
 effectiveJobs(const SweepOptions &options)
 {
     if (options.jobs < 0)
-        dee_fatal("--jobs must be >= 0 (got %d)", options.jobs);
+        dee_fatal("--jobs must be >= 0 (got ", options.jobs, ")");
     if (options.jobs == 0)
         return ThreadPool::hardwareConcurrency();
     return static_cast<unsigned>(options.jobs);
@@ -178,12 +176,6 @@ runCells(std::size_t cells, const SweepOptions &options,
                                               std::defer_lock);
         if (live)
             reg_lock.lock();
-
-        // Re-derive the publish-time scalars from the merged integers
-        // so they match what a serial run would have left behind.
-        obs::refreshAccountingScalars(registry);
-        obs::refreshProfileScalars(registry);
-        obs::perf::refreshPerfScalars(registry);
 
         // Per-worker execution observability: what each worker
         // actually did, how much it stole, how long it sat idle.

@@ -13,9 +13,9 @@
  * finishes. Because every merge operation is exact (counter adds,
  * stat sample replay, histogram bucket adds) and the merge order is
  * the grid order, the merged state is bit-identical to the serial run
- * regardless of thread count or scheduling. Derived scalars (acct.*
- * fractions, prof.* percentiles) are re-derived once from the merged
- * integers after the last cell lands.
+ * regardless of thread count or scheduling. The registry stores no
+ * ratios over these facts; obs::deriveScalars() writes them at dump
+ * time.
  *
  * Wall-clock observability (parallel path only, since it is
  * nondeterministic by nature): runner.cells, runner.jobs,
@@ -40,7 +40,8 @@ struct SweepOptions
     int jobs = 1;
 };
 
-/** Declares --jobs on @p cli (default 0 = hardware concurrency). */
+/** Declares --jobs on @p cli (default 1 = serial; 0 = hardware
+ *  concurrency). */
 void declareFlags(Cli &cli);
 
 /** Reads the flags declared by declareFlags(). */

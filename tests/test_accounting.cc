@@ -105,7 +105,8 @@ TEST(CycleAccount, PublishAccumulatesCountersAndDerivesRatios)
     EXPECT_EQ(reg.counter("acct.window.squashed_spec"), 4u);
     EXPECT_EQ(reg.counter("acct.window.squashed_conf.90to97"), 4u);
     EXPECT_EQ(reg.counter("acct.window.pe_slot_cycles"), 16u);
-    // Ratios recomputed from accumulated counters, not last-run values.
+    // Ratios derived from accumulated counters, not last-run values.
+    obs::deriveScalars(reg);
     EXPECT_DOUBLE_EQ(reg.scalar("acct.window.waste_fraction"),
                      4.0 / 12.0);
     EXPECT_DOUBLE_EQ(reg.scalar("acct.window.useful_fraction"), 0.5);

@@ -38,7 +38,6 @@ using obs::perf::HwSample;
 using obs::perf::madAbout;
 using obs::perf::median;
 using obs::perf::parseBenchArtifact;
-using obs::perf::refreshPerfScalars;
 using obs::perf::SampleSummary;
 using obs::perf::summarize;
 using obs::perf::ThroughputMeter;
@@ -71,7 +70,8 @@ TEST(ThroughputMeter, PublishesCountersStatsAndDerivedScalars)
         EXPECT_EQ(meter.cycles(), 300u);
         EXPECT_GE(meter.elapsedMs(), 0.0);
     }
-    const Registry &reg = sink.registry;
+    Registry &reg = sink.registry;
+    obs::deriveScalars(reg);
     const std::uint64_t *runs =
         reg.findCounter("perf.compress.SP.runs");
     ASSERT_NE(runs, nullptr);
@@ -111,11 +111,12 @@ TEST(ThroughputMeter, AccumulatesAcrossRunsOfTheSameScope)
             meter.addCycles(10);
         }
     }
-    const Registry &reg = sink.registry;
+    Registry &reg = sink.registry;
     EXPECT_EQ(*reg.findCounter("perf.w.DEE.runs"), 3u);
     EXPECT_EQ(*reg.findCounter("perf.w.DEE.sim_instructions"), 300u);
     EXPECT_EQ(reg.findStat("perf.w.DEE.run_ms")->count(), 3u);
-    // The last publish re-derived kips over the full accumulation.
+    // kips is derived over the full accumulation.
+    obs::deriveScalars(reg);
     EXPECT_DOUBLE_EQ(*reg.findScalar("perf.w.DEE.kips"),
                      300.0 / reg.findStat("perf.w.DEE.run_ms")->sum());
 }
@@ -142,12 +143,11 @@ TEST(ThroughputMeter, ScopesDoNotBleedIntoEachOther)
     EXPECT_EQ(*sink.registry.findCounter("perf.b.DEE.runs"), 1u);
 }
 
-TEST(ThroughputMeter, RefreshPerfScalarsRederivesAfterMerge)
+TEST(ThroughputMeter, DeriveScalarsAfterMerge)
 {
     // Two cells of the same scope, merged: counters and the run_ms
-    // stat add exactly, and the refresh recomputes kips from the
-    // merged totals — the invariant that makes perf.* correct at any
-    // --jobs value.
+    // stat add exactly, and kips is derived from the merged totals —
+    // the invariant that makes perf.* correct at any --jobs value.
     CellSink a, b;
     {
         IsolationScope scope(a);
@@ -166,9 +166,9 @@ TEST(ThroughputMeter, RefreshPerfScalarsRederivesAfterMerge)
     EXPECT_EQ(*merged.findCounter("perf.w.SP.runs"), 2u);
     EXPECT_EQ(merged.findStat("perf.w.SP.run_ms")->count(), 2u);
 
-    // merge() left kips holding the last cell's snapshot; the refresh
-    // must recompute it from the merged state.
-    refreshPerfScalars(merged);
+    // Cells store no kips; it exists once derived from the merge.
+    EXPECT_EQ(merged.findScalar("perf.w.SP.kips"), nullptr);
+    obs::deriveScalars(merged);
     EXPECT_DOUBLE_EQ(*merged.findScalar("perf.w.SP.kips"),
                      4000.0 /
                          merged.findStat("perf.w.SP.run_ms")->sum());

@@ -634,6 +634,42 @@ TEST(PreparedTrace, OtherPredictorsAndProfilingStayExact)
     }
 }
 
+TEST(PreparedTrace, BtfntSeesTheRecordedBackwardFlag)
+{
+    // btfnt predicts taken exactly for backward branches: its in-sim
+    // accuracy must equal measureAccuracy's on the same trace and the
+    // count the program's backward table gives.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, kMaxInstrs);
+    const std::vector<bool> backward = backwardTable(inst.program);
+    std::uint64_t branches = 0, correct = 0;
+    for (const TraceRecord &rec : inst.trace.records) {
+        if (!rec.isBranch)
+            continue;
+        ++branches;
+        correct += rec.taken == backward[rec.sid] ? 1 : 0;
+    }
+    BtfntPredictor measured;
+    const AccuracyReport want = measureAccuracy(inst.trace, measured);
+    EXPECT_EQ(want.branches, branches);
+    EXPECT_EQ(want.correct, correct);
+
+    BtfntPredictor in_sim;
+    const BranchOutcomes out =
+        predictOutcomes(PreparedTrace::of(inst.trace, &inst.cfg), in_sim);
+    EXPECT_EQ(out.accuracy.branches, branches);
+    EXPECT_EQ(out.accuracy.correct, correct);
+    for (Engine engine : {Engine::Fast, Engine::Reference}) {
+        ModelRunOptions options;
+        options.engine = engine;
+        BtfntPredictor pred;
+        const SimResult r = runModel(ModelKind::DEE_CD_MF, inst.trace,
+                                     &inst.cfg, pred, 32, options);
+        EXPECT_EQ(r.branches, branches);
+        EXPECT_EQ(r.branches - r.mispredicted, correct);
+    }
+}
+
 TEST(PreparedTrace, CopiedThenEditedTraceIsPreparedAfresh)
 {
     const BenchmarkInstance inst =

@@ -515,8 +515,11 @@ TEST(ProfilePublish, RegistrySubtreeCarriesAggregates)
     EXPECT_EQ(reg.counter("prof.compress.DEE.executions"), 2u);
     EXPECT_EQ(reg.counter("prof.compress.DEE.mispredicts"), 1u);
     EXPECT_EQ(reg.counter("prof.compress.DEE.squashed_slots"), 16u);
-    EXPECT_FALSE(std::isnan(
-        reg.scalar("prof.compress.DEE.resolve_latency_p50")));
+    obs::deriveScalars(reg);
+    const double *p50 =
+        reg.findScalar("prof.compress.DEE.resolve_latency_p50");
+    ASSERT_NE(p50, nullptr);
+    EXPECT_FALSE(std::isnan(*p50));
 }
 
 } // namespace

@@ -180,8 +180,8 @@ TEST(RegistryMerge, CountersScalarsAndHistogramsAreExact)
     a.merge(b);
     EXPECT_EQ(*a.findCounter("x.count"), 42u);
     EXPECT_EQ(*a.findCounter("x.only_b"), 7u);
-    // Scalars are overwritten by the merged-in value (the runner
-    // re-derives them afterwards).
+    // Scalars are overwritten by the merged-in value (the registry
+    // stores no ratios; obs::deriveScalars() writes them at dump time).
     EXPECT_EQ(*a.findScalar("x.derived"), 0.75);
     const Histogram *h = a.findHistogram("x.hist");
     ASSERT_NE(h, nullptr);
@@ -221,16 +221,20 @@ TEST(RegistryMerge, SampleLoggedStatsReplayBitExactly)
     EXPECT_EQ(merged.sum(), serial.sum());
 }
 
-TEST(RegistryMerge, RefreshRecomputesAccountingFractions)
+TEST(RegistryMerge, DeriveScalarsComputesAccountingFractions)
 {
+    // Two cells' counters merge exactly; the fractions come from the
+    // merged totals, and a stale stored value is overwritten.
     obs::Registry reg;
-    reg.counter("acct.window.useful") = 60;
-    reg.counter("acct.window.squashed_spec") = 20;
-    reg.counter("acct.window.idle") = 20;
-    reg.counter("acct.window.pe_slot_cycles") = 100;
-    reg.scalar("acct.window.waste_fraction") = -1.0; // stale
-    reg.scalar("acct.window.useful_fraction") = -1.0;
-    obs::refreshAccountingScalars(reg);
+    obs::Registry cell;
+    cell.counter("acct.window.useful") = 30;
+    cell.counter("acct.window.squashed_spec") = 10;
+    cell.counter("acct.window.idle") = 10;
+    cell.counter("acct.window.pe_slot_cycles") = 50;
+    reg.merge(cell);
+    reg.merge(cell);
+    reg.scalar("acct.window.useful_fraction") = -1.0; // stale
+    obs::deriveScalars(reg);
     EXPECT_EQ(*reg.findScalar("acct.window.waste_fraction"),
               20.0 / 80.0);
     EXPECT_EQ(*reg.findScalar("acct.window.useful_fraction"),
@@ -273,6 +277,15 @@ TEST(RunCells, ParallelPathRunsEveryCellOnceAndPublishesRunnerStats)
     ASSERT_NE(wall, nullptr);
     EXPECT_EQ(wall->count(), 64u);
     obs::Registry::process().clear();
+}
+
+TEST(RunCellsDeathTest, NegativeJobsNamesTheValue)
+{
+    runner::SweepOptions options;
+    options.jobs = -1;
+    EXPECT_EXIT(runner::effectiveJobs(options),
+                ::testing::ExitedWithCode(1),
+                "--jobs must be >= 0 \\(got -1\\)");
 }
 
 TEST(RunCells, CellExceptionPropagates)
@@ -345,12 +358,56 @@ snapshotRegistry(const obs::Registry &reg)
     return out;
 }
 
+/** True for the scalar names only obs::deriveScalars() writes. */
+bool
+isDerivedName(const std::string &path)
+{
+    for (const char *name :
+         {".waste_fraction", ".useful_fraction", ".resolve_latency_p50",
+          ".resolve_latency_p90", ".kips", ".mcps", ".host_ipc"}) {
+        if (path.ends_with(name))
+            return true;
+    }
+    return false;
+}
+
 struct SweepSnapshot
 {
     std::string registry;
     std::string profiles;
     std::vector<double> results;
+    /** Derived names the merged registry held before the dump. */
+    std::size_t storedDerived = 0;
+    /** perf.<scope>.sim_instructions leaves, and how many of those
+     *  scopes carry the exact kips after deriveScalars(). */
+    std::size_t perfScopes = 0;
+    std::size_t exactKips = 0;
 };
+
+/** Counts @p reg's perf scopes (perf.<scope>.sim_instructions leaves)
+ *  into @p snap, and those whose kips is exactly sim_instructions over
+ *  run_ms's sum (absent when that sum is 0). */
+void
+countKips(const obs::Registry &reg, SweepSnapshot &snap)
+{
+    const std::string suffix = ".sim_instructions";
+    for (const std::string &path : reg.paths()) {
+        if (path.compare(0, 5, "perf.") != 0 || !path.ends_with(suffix))
+            continue;
+        ++snap.perfScopes;
+        const std::string scope =
+            path.substr(0, path.size() - suffix.size());
+        const RunningStat *wall = reg.findStat(scope + ".run_ms");
+        const double *kips = reg.findScalar(scope + ".kips");
+        const double ms = wall != nullptr ? wall->sum() : 0.0;
+        if (ms > 0.0 ? kips != nullptr &&
+                           *kips == static_cast<double>(
+                                        *reg.findCounter(path)) /
+                                        ms
+                     : kips == nullptr)
+            ++snap.exactKips;
+    }
+}
 
 /**
  * A miniature Figure-5 grid: every model x E_T in {8, 32} (Oracle
@@ -421,7 +478,13 @@ class Determinism : public ::testing::Test
             runner::runCells(results.size(), options, body);
         }
         SweepSnapshot snap;
-        snap.registry = snapshotRegistry(obs::Registry::process());
+        obs::Registry &reg = obs::Registry::process();
+        for (const std::string &path : reg.paths())
+            snap.storedDerived += isDerivedName(path) ? 1 : 0;
+        // What a Session dumps: the registry after derivation.
+        obs::deriveScalars(reg);
+        countKips(reg, snap);
+        snap.registry = snapshotRegistry(reg);
         snap.profiles = obs::ProfileStore::process().toJson().dump();
         snap.results = std::move(results);
         obs::Registry::process().clear();
@@ -453,13 +516,33 @@ TEST_F(Determinism, ParallelSweepIsBitIdenticalToSerial)
     for (int jobs : {2, 4, 8}) {
         const SweepSnapshot parallel = runSweep(jobs);
         // Bitwise: results, every counter/stat/histogram, and every
-        // re-derived scalar must match the serial run exactly.
+        // derived scalar must match the serial run exactly.
         EXPECT_EQ(serial.results, parallel.results)
             << "results differ at jobs=" << jobs;
         EXPECT_EQ(serial.registry, parallel.registry)
             << "registry differs at jobs=" << jobs;
         EXPECT_EQ(serial.profiles, parallel.profiles)
             << "profiles differ at jobs=" << jobs;
+    }
+}
+
+TEST_F(Determinism, DerivedScalarsAppearOnlyWhenDumped)
+{
+    // With profiling on, cells publish only facts that merge exactly:
+    // the merged registry holds none of the derived names until
+    // deriveScalars() runs, and after it jobs 1 and jobs 4 agree.
+    const SweepSnapshot serial = runSweep(1);
+    const SweepSnapshot parallel = runSweep(4);
+    EXPECT_EQ(serial.storedDerived, 0u);
+    EXPECT_EQ(parallel.storedDerived, 0u);
+    EXPECT_EQ(serial.registry, parallel.registry);
+    EXPECT_NE(serial.registry.find(".waste_fraction s "),
+              std::string::npos);
+    EXPECT_NE(serial.registry.find(".resolve_latency_p90 s "),
+              std::string::npos);
+    for (const SweepSnapshot *snap : {&serial, &parallel}) {
+        EXPECT_GT(snap->perfScopes, 0u);
+        EXPECT_EQ(snap->exactKips, snap->perfScopes);
     }
 }
 
