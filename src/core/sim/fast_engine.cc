@@ -114,7 +114,6 @@ fastForward(ForwardCtx &ctx)
     const bool serial_branches = config.cd != CdModel::Minimal;
     const bool use_confidence = config.confidence.accuracy != nullptr;
     const bool profiling = ctx.profiling;
-    const bool accounting = ctx.accounting;
     const bool tracing = ctx.tracing;
     const bool hot = ctx.hot;
     obs::Tracer &tracer = ctx.tracer;
@@ -169,8 +168,7 @@ fastForward(ForwardCtx &ctx)
     std::size_t pending_head = 0;
     std::int64_t last_resolve = -1;
     const bool pe_limited = config.peLimit > 0;
-    IssueSlots slots(config.peLimit,
-                     accounting && pe_limited ? &ctx.starved : nullptr);
+    IssueSlots slots(config.peLimit);
 
     // Per-tree-move scratch arenas, hoisted out of the root loop.
     std::vector<std::uint64_t> &crossed = scratch.crossed;

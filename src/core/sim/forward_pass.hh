@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/bit_matrix.hh"
@@ -42,28 +41,38 @@ constexpr std::int64_t kNeverFetched =
 /**
  * Per-cycle issue slots for the limited-PE extension: claim() finds the
  * earliest cycle >= ready with a free slot and takes it. Shared verbatim
- * between the engines so starvation evidence is identical.
+ * between the engines.
+ *
+ * A waiting instruction skips only full cycles, and a cycle never
+ * empties, so every cycle it waits through issues the full width: the
+ * window simulator has no spare slot to charge to resource starvation.
  *
  * Occupancy is one dense counter per cycle. Full cycles point forward
- * (next_[t] > t) to a later cycle that may be free; find() follows the
+ * (next > t) to a later cycle that may be free; find() follows the
  * chain to the first free cycle and compresses it, so a ready time far
  * behind the fill frontier costs amortized near-O(1) instead of one
- * probe per full cycle.
+ * probe per full cycle. Every cycle below the low watermark low_ is
+ * full, so a search starts at max(ready, low_). The buffer comes from
+ * a thread-local pool, so per-cell instances reuse warmed capacity.
  */
 class IssueSlots
 {
   public:
-    /** A run of cycles [begin, end) that were all full when an
-     *  instruction ready at begin had to wait until end. */
-    using Range = std::pair<std::int64_t, std::int64_t>;
-
-    /** @param starved when non-null, every wait is appended as the
-     *  range of full cycles it skipped — the resource-starvation
-     *  evidence for cycle accounting (ranges may overlap). */
-    explicit IssueSlots(int width, std::vector<Range> *starved = nullptr)
-        : width_(width), starved_(starved)
+    explicit IssueSlots(int width) : width_(width)
     {
+        cycles_.swap(pool_);
+        cycles_.clear();
     }
+
+    /** Returns the buffer to the pool when it outgrew the pool's. */
+    ~IssueSlots()
+    {
+        if (cycles_.capacity() > pool_.capacity())
+            cycles_.swap(pool_);
+    }
+
+    IssueSlots(const IssueSlots &) = delete;
+    IssueSlots &operator=(const IssueSlots &) = delete;
 
     std::int64_t
     claim(std::int64_t ready)
@@ -71,31 +80,41 @@ class IssueSlots
         if (width_ == 0)
             return ready;
         DEE_INVARIANT(ready >= 0, "issue slot claimed at cycle ", ready);
-        const std::int64_t t = find(ready);
+        const std::int64_t t = find(std::max(ready, low_));
         const auto c = static_cast<std::size_t>(t);
-        if (c >= used_.size())
+        if (c >= cycles_.size())
             grow(c);
-        if (++used_[c] == width_)
-            next_[c] = t + 1;
-        if (starved_ != nullptr && t > ready)
-            starved_->emplace_back(ready, t);
+        if (++cycles_[c].used == width_) {
+            cycles_[c].next = t + 1;
+            if (t == low_)
+                low_ = find(t + 1);
+        }
         return t;
     }
 
   private:
+    struct Cycle
+    {
+        /** == this cycle: it has a free slot; else a later cycle to
+         *  search from. */
+        std::int64_t next;
+        int used; ///< instructions issued
+    };
+
     /** First cycle >= @p t with a free slot (cycles past the end of
      *  the table are all free). */
     std::int64_t
     find(std::int64_t t)
     {
-        const auto size = static_cast<std::int64_t>(next_.size());
+        const auto size = static_cast<std::int64_t>(cycles_.size());
         std::int64_t free = t;
-        while (free < size && next_[static_cast<std::size_t>(free)] != free)
-            free = next_[static_cast<std::size_t>(free)];
+        while (free < size &&
+               cycles_[static_cast<std::size_t>(free)].next != free)
+            free = cycles_[static_cast<std::size_t>(free)].next;
         // Path compression: every cycle on the chain now points at the
         // free cycle found (all of them lie below it and are full).
         while (t < free && t < size) {
-            std::int64_t &link = next_[static_cast<std::size_t>(t)];
+            std::int64_t &link = cycles_[static_cast<std::size_t>(t)].next;
             t = link;
             link = free;
         }
@@ -105,20 +124,18 @@ class IssueSlots
     void
     grow(std::size_t c)
     {
-        const std::size_t old = used_.size();
-        const std::size_t size = std::max(c + 1, 2 * old);
-        used_.resize(size, 0);
-        next_.resize(size);
-        for (std::size_t k = old; k < size; ++k)
-            next_[k] = static_cast<std::int64_t>(k);
+        const std::size_t old = cycles_.size();
+        cycles_.resize(std::max(c + 1, 2 * old));
+        for (std::size_t k = old; k < cycles_.size(); ++k)
+            cycles_[k] = {static_cast<std::int64_t>(k), 0};
     }
 
     int width_;
-    std::vector<int> used_; ///< instructions issued per cycle
-    /** next_[t] == t: cycle t has a free slot; else a later cycle to
-     *  search from. */
-    std::vector<std::int64_t> next_;
-    std::vector<Range> *starved_;
+    std::int64_t low_ = 0; ///< first cycle with a free slot
+    std::vector<Cycle> cycles_;
+    /** This thread's recycled buffer (empty while an instance holds
+     *  it). */
+    static inline thread_local std::vector<Cycle> pool_;
 };
 
 /** A mispredicted branch still inside the static window's reach. */
@@ -152,7 +169,6 @@ struct RunArena
     std::vector<std::int64_t> rootTime;
     std::vector<std::int64_t> resolve;
     std::vector<std::uint8_t> fetchSide;
-    std::vector<IssueSlots::Range> starved;
 };
 
 /** Everything a forward-pass kernel reads and everything it must fill. */
@@ -175,7 +191,6 @@ struct ForwardCtx
     const std::vector<DynIndex> &joinIdx;     ///< empty unless CD
     int windowReach;
     bool profiling;
-    bool accounting;
     bool tracing;
     bool hot;
     obs::Tracer &tracer;
@@ -194,8 +209,6 @@ struct ForwardCtx
     std::vector<std::int64_t> &rootTime;
     std::vector<std::int64_t> &resolve;   ///< per path
     std::vector<std::uint8_t> &fetchSide; ///< per path iff profiling
-    /** Resource-starvation waits (accounting with a PE limit only). */
-    std::vector<IssueSlots::Range> &starved;
     std::uint64_t sidePathFetches = 0;
 };
 

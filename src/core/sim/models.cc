@@ -78,19 +78,16 @@ double
 characteristicAccuracy(const Trace &trace,
                        const BranchPredictor &predictor)
 {
-    AccuracyReport report;
-    if (const auto *twobit =
-            dynamic_cast<const TwoBitPredictor *>(&predictor)) {
-        // A clone is a power-on 2-bit table: its pass is the trace's
-        // prepared one, so only the bookkeeping is redone.
-        report = PreparedTrace::of(trace)
-                     .twoBitOutcomes(twobit->numStatic())
-                     .accuracy;
-        publishAccuracy(twobit->name(), report);
-    } else {
-        auto probe = predictor.clone();
-        report = measureAccuracy(trace, *probe);
-    }
+    // A 2-bit clone is a power-on table: its pass is the trace's
+    // prepared one, so only the bookkeeping is redone. Other clones
+    // replay the prepared branch paths.
+    const PreparedTrace &prep = PreparedTrace::of(trace);
+    const auto *twobit = dynamic_cast<const TwoBitPredictor *>(&predictor);
+    const AccuracyReport report =
+        twobit != nullptr
+            ? prep.twoBitOutcomes(twobit->numStatic()).accuracy
+            : measurePreparedAccuracy(prep, *predictor.clone());
+    publishAccuracy(predictor.name(), report);
     return std::clamp(report.accuracy, 0.5, 0.995);
 }
 

@@ -95,9 +95,10 @@ struct ModelRunOptions
  * Measures the predictor's accuracy on the trace using a fresh clone
  * (heuristic step 1). Clamped into [0.5, 0.995] so tree geometry stays
  * well-defined even on degenerate traces. For a TwoBitPredictor the
- * pass is the trace's prepared one (run on first use, then reused);
- * the bpred.2bit.* registry bookkeeping is published on every call
- * either way. Other predictors run measureAccuracy() on a clone.
+ * pass is the trace's prepared one (run on first use, then reused).
+ * Other predictors replay a clone over the prepared branch paths
+ * (measurePreparedAccuracy()), reading no trace records. Either way
+ * the bpred.<name>.* registry bookkeeping is published on every call.
  */
 double characteristicAccuracy(const Trace &trace,
                               const BranchPredictor &predictor);

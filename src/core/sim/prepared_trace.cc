@@ -301,6 +301,44 @@ lookupOrBuild(std::mutex &mutex, Map &map,
     return it->second;
 }
 
+/**
+ * Runs @p predictor over the branches ending the prepared paths, in
+ * trace order (predict, then update), calling @p visit(k, right) for
+ * each such path k. Returns the accuracy over them.
+ */
+template <typename Visit>
+AccuracyReport
+replayBranches(const PreparedTrace &prepared, BranchPredictor &predictor,
+               Visit &&visit)
+{
+    AccuracyReport report;
+    // The 2-bit predictor (every figure cell) devirtualizes into one
+    // inlined table access per branch.
+    TwoBitPredictor *const twobit =
+        dynamic_cast<TwoBitPredictor *>(&predictor);
+    prepared.ends().forEachSet([&](std::size_t k) {
+        const BranchQuery q{prepared.branchSids()[k],
+                            prepared.backward()[k] != 0,
+                            prepared.taken()[k] != 0};
+        bool predicted;
+        if (twobit != nullptr) {
+            predicted = twobit->predictThenUpdate(q.sid, q.actual);
+        } else {
+            predicted = predictor.predict(q);
+            predictor.update(q, q.actual);
+        }
+        const bool right = predicted == q.actual;
+        ++report.branches;
+        report.correct += right ? 1 : 0;
+        visit(k, right);
+    });
+    if (report.branches > 0) {
+        report.accuracy = static_cast<double>(report.correct) /
+                          static_cast<double>(report.branches);
+    }
+    return report;
+}
+
 } // namespace
 
 LatencyTable
@@ -317,68 +355,44 @@ predictOutcomes(const PreparedTrace &prepared, BranchPredictor &predictor)
 {
     const std::vector<BranchPath> &paths = prepared.paths();
     const std::vector<StaticId> &sids = prepared.branchSids();
-    const std::vector<std::uint8_t> &taken = prepared.taken();
-    const std::vector<std::uint8_t> &backward = prepared.backward();
     const std::size_t num_paths = paths.size();
     dee_assert(num_paths < UINT32_MAX, "trace has over 2^32 paths");
     BranchOutcomes out;
     out.correct.assign(num_paths, 1);
-    out.correctBits = BitVec64(num_paths);
     ConfidenceEstimator confidence(prepared.numStatic());
-    // The 2-bit predictor (every figure cell) devirtualizes into one
-    // inlined table access per branch.
-    TwoBitPredictor *const twobit =
-        dynamic_cast<TwoBitPredictor *>(&predictor);
-    for (std::size_t k = 0; k < num_paths; ++k) {
-        if (!paths[k].endsInBranch) {
-            out.correctBits.set(k);
-            continue;
-        }
-        const StaticId sid = sids[k];
-        const bool actual = taken[k] != 0;
-        bool predicted;
-        if (twobit != nullptr) {
-            predicted = twobit->predictThenUpdate(sid, actual);
-        } else {
-            BranchQuery q;
-            q.sid = sid;
-            q.backward = backward[k] != 0;
-            q.actual = actual;
-            predicted = predictor.predict(q);
-            predictor.update(q, actual);
-        }
-        const bool right = predicted == actual;
-        out.correct[k] = right ? 1 : 0;
-        if (right) {
-            out.correctBits.set(k);
-            ++out.accuracy.correct;
-        }
-        confidence.record(sid, right);
-        ++out.accuracy.branches;
-    }
-    // Squashed work is charged to the bucket of the branch's confidence
-    // at the end of the run.
+    out.accuracy = replayBranches(prepared, predictor,
+                                  [&](std::size_t k, bool right) {
+                                      out.correct[k] = right ? 1 : 0;
+                                      confidence.record(sids[k], right);
+                                  });
+    // One backward pass: the packed correct set, the squash buckets
+    // (squashed work is charged to the bucket of the branch's
+    // confidence at the end of the run) and the first uncrossable path.
+    out.correctBits = BitVec64(num_paths);
     out.squashBucket.assign(num_paths, 0);
-    for (std::size_t k = 0; k < num_paths; ++k) {
-        if (paths[k].endsInBranch) {
-            out.squashBucket[k] = static_cast<std::uint8_t>(
-                obs::confidenceBucket(confidence.estimate(sids[k])));
-        }
-    }
     std::vector<std::uint32_t> &nm = out.nextUncrossable;
     nm.resize(num_paths + 1);
     nm[num_paths] = static_cast<std::uint32_t>(num_paths);
     for (std::size_t k = num_paths; k-- > 0;) {
-        nm[k] = (paths[k].endsInBranch && out.correct[k] != 0)
+        const bool ends = paths[k].endsInBranch;
+        if (out.correct[k] != 0)
+            out.correctBits.set(k);
+        if (ends) {
+            out.squashBucket[k] = static_cast<std::uint8_t>(
+                obs::confidenceBucket(confidence.estimate(sids[k])));
+        }
+        nm[k] = (ends && out.correct[k] != 0)
                     ? nm[k + 1]
                     : static_cast<std::uint32_t>(k);
     }
-    if (out.accuracy.branches > 0) {
-        out.accuracy.accuracy =
-            static_cast<double>(out.accuracy.correct) /
-            static_cast<double>(out.accuracy.branches);
-    }
     return out;
+}
+
+AccuracyReport
+measurePreparedAccuracy(const PreparedTrace &prepared,
+                        BranchPredictor &predictor)
+{
+    return replayBranches(prepared, predictor, [](std::size_t, bool) {});
 }
 
 const PreparedTrace &

@@ -150,6 +150,14 @@ class PreparedTrace;
 BranchOutcomes predictOutcomes(const PreparedTrace &prepared,
                                BranchPredictor &predictor);
 
+/**
+ * measureAccuracy() over the prepared branch paths: the same
+ * predict-then-update sequence and the same report, from the pass
+ * predictOutcomes() runs. Publishes nothing (see publishAccuracy()).
+ */
+AccuracyReport measurePreparedAccuracy(const PreparedTrace &prepared,
+                                       BranchPredictor &predictor);
+
 /** Trace-only simulation data, shared by every run over one Trace. */
 class PreparedTrace
 {

@@ -133,7 +133,6 @@ referenceForward(ForwardCtx &ctx)
     const bool serial_branches = config.cd != CdModel::Minimal;
     const bool use_confidence = config.confidence.accuracy != nullptr;
     const bool profiling = ctx.profiling;
-    const bool accounting = ctx.accounting;
     const bool tracing = ctx.tracing;
     const bool hot = ctx.hot;
     obs::Tracer &tracer = ctx.tracer;
@@ -166,9 +165,7 @@ referenceForward(ForwardCtx &ctx)
 
     std::deque<PendingMispredict> window_mispredicts;
     std::int64_t last_resolve = -1;
-    IssueSlots slots(config.peLimit,
-                     accounting && config.peLimit > 0 ? &ctx.starved
-                                                      : nullptr);
+    IssueSlots slots(config.peLimit);
 
     // Effective completion latency of a dynamic instruction (cache-
     // model load latencies override the class latency when provided).
@@ -542,7 +539,7 @@ WindowSim::run(BranchPredictor &predictor) const
     // --- Forward pass over branch paths ----------------------------------
     // The ledger outlives the kernel: issue cycles are recorded inline
     // as the kernel computes them, and the epilogue reads the per-cycle
-    // counts (peak issue) and, when accounting, adds the stall marks
+    // counts (peak issue) and, when accounting, adds the squash marks
     // and finalizes.
     std::optional<obs::SlotLedger> ledger;
     if (accounting || config_.gatherIssueStats) {
@@ -566,7 +563,6 @@ WindowSim::run(BranchPredictor &predictor) const
         .joinIdx = join_idx,
         .windowReach = window_reach,
         .profiling = profiling,
-        .accounting = accounting,
         .tracing = tracing,
         .hot = hot,
         .tracer = tracer,
@@ -576,12 +572,8 @@ WindowSim::run(BranchPredictor &predictor) const
         .rootTime = arena.rootTime,
         .resolve = arena.resolve,
         .fetchSide = arena.fetchSide,
-        .starved = arena.starved,
         .sidePathFetches = 0,
     };
-    // The kernels assign() the sized outputs; the append-only one must
-    // start empty so nothing leaks across arena reuse.
-    arena.starved.clear();
     if (config_.engine == Engine::Reference)
         sim_detail::referenceForward(ctx);
     else
@@ -642,6 +634,8 @@ WindowSim::run(BranchPredictor &predictor) const
 
     // --- Cycle accounting: classify every issue-slot-cycle ----------------
     // The kernels already recorded every instruction's issue cycle.
+    // Squash is the only mark: a PE-limited wait skips only full
+    // cycles (IssueSlots), which have no spare slot to charge.
     if (accounting) {
         mispredict_paths.forEachSet([&](std::size_t m) {
             // Wrong-path work occupies the machine from the moment the
@@ -657,17 +651,6 @@ WindowSim::run(BranchPredictor &predictor) const
                          resolve[m] + penalty,
                          outcomes->squashBucket[m], sids[m]);
         });
-        // Starvation waits overlap (many instructions skip the same
-        // full cycles); merge them so each cycle is marked once.
-        std::vector<sim_detail::IssueSlots::Range> &starved = ctx.starved;
-        std::sort(starved.begin(), starved.end());
-        for (std::size_t k = 0; k < starved.size();) {
-            const std::int64_t begin = starved[k].first;
-            std::int64_t end = starved[k].second;
-            for (++k; k < starved.size() && starved[k].first <= end; ++k)
-                end = std::max(end, starved[k].second);
-            ledger->mark(obs::SlotClass::ResourceStarved, begin, end);
-        }
         std::unordered_map<std::uint32_t, std::uint64_t> squash_by_site;
         result.account =
             ledger->finalize(result.cycles,

@@ -17,8 +17,11 @@
  *                     offending branch (the DEE-vs-EE waste claim).
  *   fetch_stall       whole-machine empty cycle: the front end had
  *                     nothing covered/fetched to deliver
- *   resource_starved  an instruction was ready but every PE was busy
- *                     (only with an explicit PE limit)
+ *   resource_starved  an instruction was ready but every PE was busy.
+ *                     Charged only by Levo's column stalls: in the
+ *                     window simulator a waiting instruction skips
+ *                     only full cycles, which have no spare slot, so
+ *                     it is zero there by construction
  *   refill_stall      Levo only: IQ window move / linear-mode refill
  *   copy_back         Levo only: DEE path state copy-back after a
  *                     covered misprediction

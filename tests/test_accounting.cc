@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+
 #include "bpred/bpred.hh"
 #include "core/sim/models.hh"
 #include "isa/builder.hh"
@@ -189,6 +193,64 @@ TEST(SlotLedger, MarkPriorityAndBucketAttribution)
     const CycleAccount same = reversed.finalize(6);
     EXPECT_EQ(same.slots(SlotClass::SquashedSpec), 4u);
     EXPECT_EQ(same.slots(SlotClass::ResourceStarved), 2u);
+}
+
+TEST(SlotLedger, StarvedMarkOverFullCyclesChangesNothing)
+{
+    // 2 PEs, 8 cycles. Cycles 1-4 issue both PEs (the only cycles a
+    // PE-limited wait skips); cycle 0 issues one, cycle 5 none, and
+    // cycles 6-7 are full again. Squash marks from two sites overlap
+    // the full run.
+    constexpr std::uint64_t kPes = 2;
+    const auto fill = [](SlotLedger &ledger) {
+        ledger.issue(0);
+        for (std::int64_t c : {1, 2, 3, 4, 6, 7}) {
+            ledger.issue(c);
+            ledger.issue(c);
+        }
+    };
+    const auto squash = [](SlotLedger &ledger) {
+        ledger.mark(SlotClass::SquashedSpec, 0, 3, 2, 11);
+        ledger.mark(SlotClass::SquashedSpec, 4, 7, 0, 12);
+    };
+    const auto starve = [](SlotLedger &ledger) {
+        ledger.mark(SlotClass::ResourceStarved, 1, 5);
+        ledger.mark(SlotClass::ResourceStarved, 6, 8);
+    };
+    using SiteSlots = std::unordered_map<std::uint32_t, std::uint64_t>;
+
+    SlotLedger plain(kPes);
+    fill(plain);
+    squash(plain);
+    SiteSlots want_sites;
+    const CycleAccount want = plain.finalize(8, nullptr, &want_sites);
+    ASSERT_TRUE(want.valid());
+    EXPECT_EQ(want.slots(SlotClass::SquashedSpec), 3u);
+    EXPECT_EQ(want_sites.at(12), 2u);
+
+    for (const bool starve_first : {true, false}) {
+        const std::string ctx =
+            starve_first ? "starve first" : "squash first";
+        SlotLedger ledger(kPes);
+        fill(ledger);
+        if (starve_first)
+            starve(ledger);
+        squash(ledger);
+        if (!starve_first)
+            starve(ledger);
+        SiteSlots sites;
+        const CycleAccount got = ledger.finalize(8, nullptr, &sites);
+        ASSERT_TRUE(got.valid()) << ctx;
+        for (std::size_t i = 0; i < kNumSlotClasses; ++i) {
+            const auto cls = static_cast<SlotClass>(i);
+            EXPECT_EQ(got.slots(cls), want.slots(cls))
+                << ctx << " " << obs::slotClassName(cls);
+        }
+        for (std::size_t b = 0; b < kNumConfidenceBuckets; ++b)
+            EXPECT_EQ(got.squashedInBucket(b), want.squashedInBucket(b))
+                << ctx << " bucket " << b;
+        EXPECT_EQ(sites, want_sites) << ctx;
+    }
 }
 
 TEST(SlotLedger, LevoClassesRefillAndCopyBack)

@@ -13,9 +13,10 @@
  *     runner::cellSeed derivation (the same stream the sweep tools
  *     use), cycling models, scales and E_T budgets,
  *   - targeted configurations that exercise every optional engine
- *     input: confidence-gated DEE, an explicit PE limit, realistic
- *     latencies with per-record load-latency overrides, resolve/issue
- *     stats, and full speculation profiling,
+ *     input: confidence-gated DEE, an explicit PE limit (also on
+ *     every constrained model with realistic latencies and load
+ *     overrides), realistic latencies with per-record load-latency
+ *     overrides, resolve/issue stats, and full speculation profiling,
  *
  * asserting bit-exact SimResult equality (every field, doubles
  * compared by value produced from identical integer operands), equal
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -289,8 +291,9 @@ TEST(EngineDifferential, HundredRandomCellsBitExact)
 
 // ------------------------------------------- targeted configs
 
-/** Direct WindowSim comparison for a hand-built SimConfig. */
-void
+/** Direct WindowSim comparison for a hand-built SimConfig; returns
+ *  the fast and the reference result. */
+std::pair<SimResult, SimResult>
 expectEnginesAgree(const BenchmarkInstance &inst, SimConfig config,
                    const SpecTree &tree, const std::string &ctx)
 {
@@ -305,6 +308,7 @@ expectEnginesAgree(const BenchmarkInstance &inst, SimConfig config,
     const SimResult ref = ref_sim.run(ref_pred);
 
     expectSameResult(fast, ref, ctx);
+    return {fast, ref};
 }
 
 TEST(EngineDifferential, ConfidenceGatedDeeBitExact)
@@ -342,6 +346,47 @@ TEST(EngineDifferential, PeLimitAndStarvationBitExact)
         config.gatherIssueStats = true;
         expectEnginesAgree(inst, config, SpecTree::deeStatic(p, 32),
                            "peLimit " + std::to_string(pe_limit));
+    }
+}
+
+TEST(EngineDifferential, PeLimitRealisticLatencyEveryModelBitExact)
+{
+    // The pe_latency shape: every constrained model under a PE limit,
+    // realistic class latencies and per-load latency overrides. A
+    // waiting instruction skips only full cycles, so the window
+    // simulator never charges a slot to resource starvation.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Eqntott, 1, 20'000);
+    TwoBitPredictor probe(inst.trace.numStatic);
+    const double p = characteristicAccuracy(inst.trace, probe);
+    std::vector<int> load_lat(inst.trace.records.size());
+    for (std::size_t i = 0; i < load_lat.size(); ++i)
+        load_lat[i] = i % 5 == 0 ? 20 : 2;
+
+    for (const ModelKind kind : constrainedModels()) {
+        for (const int pe_limit : {1, 4, 16}) {
+            SimConfig config;
+            config.cd = cdModelOf(kind);
+            config.latency = LatencyModel::realistic();
+            config.loadLatencies = &load_lat;
+            config.peLimit = pe_limit;
+            config.gatherAccounting = true;
+            config.gatherIssueStats = true;
+            const std::string ctx = std::string(modelName(kind)) +
+                                    " peLimit " +
+                                    std::to_string(pe_limit);
+            const auto [fast, ref] = expectEnginesAgree(
+                inst, config, treeForModel(kind, p, 32), ctx);
+            for (const SimResult *r : {&fast, &ref}) {
+                ASSERT_TRUE(r->account.valid()) << ctx;
+                EXPECT_EQ(r->account.slots(obs::SlotClass::ResourceStarved),
+                          0u)
+                    << ctx;
+                EXPECT_LE(r->peakIssue,
+                          static_cast<std::uint64_t>(pe_limit))
+                    << ctx;
+            }
+        }
     }
 }
 
